@@ -50,8 +50,7 @@ Two kinds of measurement:
   the P=4-vs-P=1 wall-clock ratio is CI's drain-speedup floor on
   multi-core runners (``parallel_drain`` in the JSON).
 * **Order-sensitive drains** — the same partition-parallel drain topology
-  pointed at the kernels ISSUE 10 un-serialised: the split-stream-RNG
-  sample filter and the extract/fold statistics aggregate.  Every shard
+  pointed at the sample filter and the statistics aggregate.  Every shard
   asserts its *exact* expected output count (the reference RNG's kept
   count for sample, one running tuple per record for statistics) on any
   host, and the per-query P=4-vs-P=1 ratio carries the same ≥2x CI floor
@@ -918,7 +917,7 @@ def run_sharded_order_sensitive_bench(
     parallelisms: tuple[int, ...] = (1, 4),
     queries: tuple[str, ...] = ORDER_SENSITIVE_DRAIN_QUERIES,
 ) -> dict[str, Any]:
-    """Partition-parallel drains of the newly-sharded kernels.
+    """Partition-parallel drains of the order-sensitive kernels.
 
     Same topology as :func:`run_parallel_drain_bench` — P worker
     processes, each with a per-shard consumer over its own partition —
@@ -1016,11 +1015,8 @@ def run_scalability_bench(
     rises monotonically but sub-linearly (the broker append/fetch path
     does not parallelise, and the engines charge per-record coordination
     for P > 1), and Beam's knee trails native's at every level.  The
-    query set covers one kernel discipline each: grep (pure chain),
-    sample (split-stream RNG), statistics (extract/fold) and the
-    windowed aggregate (pane partitioning) — before ISSUE 10 the last
-    three flatlined on the serial fallback.  Only ``wall_seconds`` is
-    host-dependent.
+    query set is grep plus the order-sensitive sample, statistics and
+    windowed aggregate.  Only ``wall_seconds`` is host-dependent.
     """
     from repro.benchmark.capacity import CapacityRunner
     from repro.benchmark.config import CapacitySettings
@@ -1060,7 +1056,6 @@ def run_scalability_bench(
         "parallelisms": list(parallelisms),
         "kinds": ["native", "beam"],
         "queries": list(config.queries),
-        "effective_parallelism": report.effective_parallelism,
         "curves": curves,
         "wall_seconds": round(wall, 3),
     }

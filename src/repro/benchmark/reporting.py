@@ -308,11 +308,7 @@ def render_scalability(report) -> str:
         f"P ∈ {{{', '.join(str(p) for p in settings.parallelisms)}}}, "
         f"{settings.records} records/probe)"
     )
-    footer = (
-        f"[host effective shard parallelism: {report.effective_parallelism}; "
-        "simulated knees are host-independent]"
-    )
-    return f"{title}\n\n{_table(headers, rows)}\n{footer}"
+    return f"{title}\n\n{_table(headers, rows)}"
 
 
 def render_full_report(report: BenchmarkReport) -> str:

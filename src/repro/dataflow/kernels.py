@@ -91,6 +91,7 @@ from __future__ import annotations
 
 import random
 import re
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Sequence
@@ -358,10 +359,18 @@ class KernelSpec:
     rng: Any = None
     index: int | None = None
     sep: str | None = None
-    #: The declaring function, for stateful kinds whose kernel mutates the
-    #: function's own state in place.  Excluded from equality/hash: a
-    #: spec's identity is its semantic shape, not which instance owns it.
-    owner: Any = field(default=None, compare=False, repr=False)
+    #: Weak reference to the declaring function, for stateful kinds whose
+    #: kernel mutates the function's own state in place.  Weak because the
+    #: function holds its spec: a strong back-reference would make every
+    #: stateful function a cycle that only the cyclic collector frees.
+    #: Excluded from equality/hash: a spec's identity is its semantic
+    #: shape, not which instance owns it.
+    owner_ref: Any = field(default=None, compare=False, repr=False)
+
+    @property
+    def owner(self) -> Any:
+        """The declaring function (``None`` for stateless kinds)."""
+        return None if self.owner_ref is None else self.owner_ref()
 
     @classmethod
     def contains(cls, needle: str) -> "KernelSpec":
@@ -402,50 +411,50 @@ class KernelSpec:
     def wordcount(cls, owner: Any) -> "KernelSpec":
         """Running per-word counts of the query column, one ``(word,
         count)`` output per word, state in ``owner.counts``."""
-        return cls("wordcount", owner=owner)
+        return cls("wordcount", owner_ref=weakref.ref(owner))
 
     @classmethod
     def distinct_count(cls, owner: Any) -> "KernelSpec":
         """Running distinct-query count, one output per record, state in
         ``owner.seen``."""
-        return cls("distinct_count", owner=owner)
+        return cls("distinct_count", owner_ref=weakref.ref(owner))
 
     @classmethod
     def statistics(cls, owner: Any) -> "KernelSpec":
         """Running ``(min, max, mean)`` of the query-column length, state
         in ``owner.minimum``/``maximum``/``total``/``count``."""
-        return cls("statistics", owner=owner)
+        return cls("statistics", owner_ref=weakref.ref(owner))
 
     @classmethod
     def keyed_reduce(cls, owner: Any) -> "KernelSpec":
         """Flink ``KeyedStream.reduce`` semantics over ``owner.state``
         with ``owner.key_selector``/``value_selector``/``reducer``."""
-        return cls("keyed_reduce", owner=owner)
+        return cls("keyed_reduce", owner_ref=weakref.ref(owner))
 
     @classmethod
     def update_state(cls, owner: Any) -> "KernelSpec":
         """Spark ``updateStateByKey`` semantics over ``owner.state`` with
         ``owner.update_fn`` on ``(key, value)`` pairs."""
-        return cls("update_state", owner=owner)
+        return cls("update_state", owner_ref=weakref.ref(owner))
 
     @classmethod
     def group_by_key(cls, owner: Any) -> "KernelSpec":
         """Beam GroupByKey buffering into ``owner.groups`` (bounded,
         globally-windowed: pairs surface from ``owner.finish()``)."""
-        return cls("group_by_key", owner=owner)
+        return cls("group_by_key", owner_ref=weakref.ref(owner))
 
     @classmethod
     def nexmark_q3(cls, owner: Any) -> "KernelSpec":
         """Nexmark Q3 incremental person⋈auction join (state in
         ``owner.persons``).  Wire-fusable after ``nexmark_decode``."""
-        return cls("nexmark_q3", owner=owner)
+        return cls("nexmark_q3", owner_ref=weakref.ref(owner))
 
     @classmethod
     def nexmark_q4(cls, owner: Any) -> "KernelSpec":
         """Nexmark Q4 running category price mean (state in
         ``owner.categories``/``sums``/``counts``).  Wire-fusable after
         ``nexmark_decode``."""
-        return cls("nexmark_q4", owner=owner)
+        return cls("nexmark_q4", owner_ref=weakref.ref(owner))
 
     @classmethod
     def nexmark_q5(cls, owner: Any) -> "KernelSpec":
@@ -454,14 +463,14 @@ class KernelSpec:
         filter is exactly ``isinstance(event, Bid)``, key the bid's
         auction and timestamp the bid's ``date_time``).  Wire-fusable
         after ``nexmark_decode``."""
-        return cls("nexmark_q5", owner=owner)
+        return cls("nexmark_q5", owner_ref=weakref.ref(owner))
 
     @classmethod
     def windowed_aggregate(cls, owner: Any) -> "KernelSpec":
         """Trigger-less windowed aggregation panes
         (:class:`repro.dataflow.windowing.WindowedAggregateFunction`),
         state in ``owner.panes``."""
-        return cls("windowed_aggregate", owner=owner)
+        return cls("windowed_aggregate", owner_ref=weakref.ref(owner))
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +677,7 @@ class SampleKernel(Kernel):
 
         Adopts the Python RNG state into NumPy on first use; an unknown
         state version returns ``None`` and demotes the kernel to the
-        per-record path.  Exposed for the shard plane: the sharded sample
-        kernel materialises one chunk-wide mask here (the identical draw
-        stream — draw index == global record index) and fans only the
-        gather work across spans.
+        per-record path.
         """
         state = self._state
         if state is None:
@@ -933,29 +939,14 @@ class StatisticsKernel(StatefulKernel):
     2**53, so NumPy's sequential accumulates are exact and folding the
     prior totals in after the fact equals the reference's running fold.
     Small chunks (or no NumPy) take a hoisted reference-shaped loop.
-
-    Split into two phases so the shard plane can parallelise the hot
-    part: :meth:`extract` parses the per-record query lengths (stateless
-    — it raises before any owner mutation on malformed input) and
-    :meth:`fold` replays the reference accumulation over the extracted
-    array, touching the owner exactly as the serial loop would.
     """
 
-    @staticmethod
-    def extract(values: Sequence[Any]) -> list:
-        """Per-record query lengths (the parse-heavy, stateless phase)."""
+    def __call__(self, values: Sequence[Any]) -> list:
         lengths: list = []
         append = lengths.append
         for line in values:
             parts = line.split("\t", 2)
             append(float(len(parts[1] if len(parts) > 1 else line)))
-        return lengths
-
-    def __call__(self, values: Sequence[Any]) -> list:
-        return self.fold(self.extract(values))
-
-    def fold(self, lengths: list) -> list:
-        """Fold extracted lengths into the owner state (reference order)."""
         fn = self._fn
         n = len(lengths)
         if _np is None or n < _MIN_BULK:

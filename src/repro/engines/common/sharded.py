@@ -25,10 +25,10 @@ deterministically:
   ``max(shard_costs)`` and the mean is simulated time lost to the
   slowest shard.
 
-Host-side, the per-shard ``_process_chunk`` calls fan out over the
-shared shard thread pool (:mod:`repro.dataflow.sharding`) — they touch
-no shared mutable state, so the pool is observationally equivalent to a
-sequential loop and results stay bit-identical at any P on any host.
+Host-side, the per-shard ``_process_chunk`` calls run one after another
+on the calling thread (:func:`repro.dataflow.sharding.run_shard_tasks`):
+parallelism is simulated, so results stay bit-identical at any P on any
+host and no helper thread is ever started.
 """
 
 from __future__ import annotations

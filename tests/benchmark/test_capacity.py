@@ -57,11 +57,25 @@ class TestProbe:
         b = run_probe(cfg, "apex", "sample", 100_000.0, columnar=False)
         assert a == b
 
-    def test_probe_identical_across_planes(self):
+    @pytest.mark.parametrize("parallelism", (1, 2))
+    @pytest.mark.parametrize("query", ("grep", "sample", "statistics", "windowed"))
+    def test_probe_identical_across_planes(self, query, parallelism):
         cfg = config()
-        list_plane = run_probe(cfg, "spark", "grep", 120_000.0, columnar=False)
-        columnar = run_probe(cfg, "spark", "grep", 120_000.0, columnar=True)
-        assert list_plane == columnar
+        probes = [
+            run_probe(
+                cfg,
+                "spark",
+                query,
+                120_000.0,
+                columnar=columnar,
+                parallelism=parallelism,
+            )
+            for columnar in (False, True)
+        ]
+        assert probes[0] == probes[1]
+        # At P=2 the drain really ran through the ShardedPump pool; a P=1
+        # probe uses the plain pump and records no per-shard costs.
+        assert len(probes[0].shard_costs) == (parallelism if parallelism > 1 else 0)
 
     def test_probe_identical_across_tiers(self):
         cfg = config()
@@ -288,19 +302,6 @@ class TestScalabilityReport:
             assert rates == sorted(rates)
             assert rates[0] < rates[-1]
 
-    def test_reports_record_effective_parallelism(self):
-        from repro.dataflow.sharding import effective_parallelism
-
-        cfg = config(capacity=SWEEP)
-        runner = CapacityRunner(cfg, columnar=False)
-        assert (
-            runner.run_scalability().effective_parallelism
-            == effective_parallelism(4)
-        )
-        assert runner.run().effective_parallelism == effective_parallelism(
-            SWEEP.parallelism
-        )
-
     def test_harness_entry_point(self):
         from repro.benchmark.harness import StreamBenchHarness
 
@@ -335,4 +336,3 @@ class TestScalabilityReport:
         assert "Scalability curves" in text
         assert "Speedup vs P=1" in text
         assert "1.00x" in text
-        assert "host effective shard parallelism" in text

@@ -7,9 +7,13 @@ trigger gating of its kernel spec.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.beam.window import AfterCount, AfterWatermark, FixedWindows, IntervalWindow
+from repro.dataflow.compiler import lower_stage
 from repro.dataflow.windowing import WindowedAggregateFunction
 
 
@@ -106,3 +110,24 @@ class TestSnapshotRestore:
         state = fn.snapshot()
         fn.process(("a", 2.0))
         assert state[0][("a", 0.0, 10.0)] == 1
+
+
+class TestReclamation:
+    def test_lowered_function_freed_by_reference_counting(self):
+        """The spec's back-reference to its function must not form a
+        cycle: a drained windowed function dies with its last reference,
+        with the cyclic collector switched off."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            fn = make()
+            kernel = lower_stage(fn)
+            kernel([("a", 1.0), ("b", 2.0), ("a", 11.0)])
+            kernel.flush()
+            assert len(list(fn.finish())) == 3
+            dead = weakref.ref(fn)
+            del fn, kernel
+            assert dead() is None
+        finally:
+            if was_enabled:
+                gc.enable()
