@@ -11,30 +11,15 @@ execution plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.beam.errors import BeamError
 from repro.beam.pvalue import PBegin, PCollection, PDone, PValue
 from repro.beam.transforms.core import DoFn, ParDo, PTransform
 from repro.broker import BrokerCluster
+from repro.broker.records import KafkaRecord, KafkaRecordColumn
+from repro.dataflow.kernels import KernelSpec
 from repro.engines.common.io import BoundedKafkaReader
-
-
-@dataclass(frozen=True, slots=True)
-class KafkaRecord:
-    """A record as produced by the Read transform (with metadata)."""
-
-    topic: str
-    partition: int
-    offset: int
-    timestamp: float
-    key: Any
-    value: Any
-
-    def kv(self) -> tuple[Any, Any]:
-        """The (key, value) view used by ``withoutMetadata``."""
-        return (self.key, self.value)
 
 
 class KafkaRead(PTransform):
@@ -57,19 +42,22 @@ class KafkaRead(PTransform):
             raise BeamError("KafkaIO.Read must be applied to the pipeline root")
         return PCollection(input_value.pipeline, is_bounded=self.bounded)
 
-    def read_records(self) -> list[KafkaRecord]:
-        """Materialise the topic as KafkaRecords (used by runners)."""
-        reader = BoundedKafkaReader(self.cluster, self.topic)
-        return [
-            KafkaRecord(r.topic, r.partition, r.offset, r.timestamp, r.key, r.value)
-            for r in reader.read_records()
-        ]
+    def read_records(self) -> KafkaRecordColumn:
+        """The topic as a ``Sequence[KafkaRecord]`` (used by runners).
+
+        A :class:`~repro.broker.records.KafkaRecordColumn`: records are
+        built only where something indexes or iterates it, so the
+        compiled kernels of ``withoutMetadata`` and the read translation's
+        Flat Map never build one.
+        """
+        return BoundedKafkaReader(self.cluster, self.topic).read_column()
 
 
 class _DropMetadataDoFn(DoFn):
     """``withoutMetadata()``: KafkaRecord → (key, value)."""
 
     cost_weight = 0.2
+    kernel_spec = KernelSpec.kafka_kv()
 
     def process(self, element: KafkaRecord) -> tuple[tuple[Any, Any], ...]:
         return (element.kv(),)
@@ -120,6 +108,7 @@ class _EnsureKvDoFn(DoFn):
     """``write()``'s input adapter: values become (None, value) pairs."""
 
     cost_weight = 0.2
+    kernel_spec = KernelSpec.ensure_kv()
 
     def process(self, element: Any) -> tuple[tuple[Any, Any], ...]:
         if isinstance(element, tuple) and len(element) == 2:

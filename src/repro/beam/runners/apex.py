@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.beam.io.kafka import KafkaRead, KafkaWrite
+from repro.beam.io.kafka import KafkaRead, KafkaRecordColumn, KafkaWrite
 from repro.beam.runners.base import (
     PipelineResult,
     PipelineRunner,
@@ -27,7 +27,7 @@ from repro.beam.runners.base import (
     linearize_beam_graph,
 )
 from repro.beam.runners.util import (
-    extract_kv_value,
+    extract_kv_values,
     is_shuffle_node,
     translate_chain_node,
 )
@@ -85,7 +85,7 @@ class _BeamKafkaInput(KafkaSinglePortInputOperator):
         self._read = read
         self.plan_label = "PTransformTranslation.UnknownRawPTransform"
 
-    def fetch(self) -> list[Any]:
+    def fetch(self) -> KafkaRecordColumn:
         return self._read.read_records()
 
 
@@ -95,7 +95,7 @@ class _BeamKafkaOutput(KafkaSinglePortOutputOperator):
     plan_label = RAW_PARDO
 
     def write(self, values: list[Any]) -> None:
-        self.writer.write_chunk([extract_kv_value(v) for v in values])
+        self.writer.write_chunk(extract_kv_values(values))
 
 
 class ApexRunner(PipelineRunner):

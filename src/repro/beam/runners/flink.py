@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.beam.io.kafka import KafkaRead, KafkaWrite
+from repro.beam.io.kafka import KafkaRead, KafkaRecordColumn, KafkaWrite
 from repro.beam.runners.base import (
     PipelineResult,
     PipelineRunner,
@@ -26,7 +26,7 @@ from repro.beam.runners.base import (
     linearize_beam_graph,
 )
 from repro.beam.runners.util import (
-    extract_kv_value,
+    extract_kv_values,
     is_shuffle_node,
     translate_chain_node,
 )
@@ -70,7 +70,7 @@ class _BeamKafkaSink(KafkaSink):
     plan_label = RAW_PARDO
 
     def write(self, values: list[Any]) -> None:
-        self.writer.write_chunk([extract_kv_value(v) for v in values])
+        self.writer.write_chunk(extract_kv_values(values))
 
 
 class _BeamKafkaSource(SourceFunction):
@@ -81,7 +81,7 @@ class _BeamKafkaSource(SourceFunction):
     def __init__(self, read: KafkaRead) -> None:
         self._read = read
 
-    def run(self) -> list[Any]:
+    def run(self) -> KafkaRecordColumn:
         return self._read.read_records()
 
 

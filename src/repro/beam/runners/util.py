@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.beam.transforms.core import DoFn
-from repro.dataflow.functions import StreamFunction
-from repro.dataflow.kernels import KernelSpec
+from repro.dataflow.functions import MapFunction, StreamFunction
+from repro.dataflow.kernels import KernelSpec, compile_function
 
 
 class DoFnAdapter(StreamFunction):
@@ -164,3 +164,11 @@ def extract_kv_value(element: Any) -> Any:
     if isinstance(element, tuple) and len(element) == 2:
         return element[1]
     return element
+
+
+#: :func:`extract_kv_value` over a whole chunk, as the compiled
+#: ``kv_value`` comprehension (the Flink and Apex Beam sinks write
+#: through it).
+extract_kv_values = compile_function(
+    MapFunction(extract_kv_value, kernel_spec=KernelSpec.kv_value())
+)

@@ -306,6 +306,19 @@ class StreamBenchHarness:
         assert self._sender_report is not None
         return self._sender_report
 
+    def close(self) -> None:
+        """Release this harness's world: delete every broker topic.
+
+        A world's broker, engine and pipeline objects reference each other
+        in cycles that only the cyclic collector frees, and every topic
+        hangs off them.  Deleting the topics drops the partition logs —
+        the ingested input and the query outputs, by far the largest part
+        of a world — by reference count, as soon as the call returns.
+        The harness must not be used afterwards.
+        """
+        for name in self.broker.list_topics():
+            self.broker.delete_topic(name)
+
     # ------------------------------------------------------------------
     # phase 2 + 3: execution and measurement
     # ------------------------------------------------------------------

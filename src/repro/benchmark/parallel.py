@@ -88,8 +88,11 @@ def _execute_cell(
     from repro.benchmark.harness import StreamBenchHarness
 
     harness = StreamBenchHarness(config, chaos=chaos, retry_policy=retry_policy)
-    harness.ingest()
-    return harness.run_setup(cell.system, cell.query, cell.kind, cell.parallelism)
+    try:
+        harness.ingest()
+        return harness.run_setup(cell.system, cell.query, cell.kind, cell.parallelism)
+    finally:
+        harness.close()
 
 
 class MatrixRunner:

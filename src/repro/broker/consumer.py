@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from repro.broker.broker import BrokerCluster
 from repro.broker.errors import ConsumerClosedError, UnknownTopicError
-from repro.broker.records import ConsumerRecord
+from repro.broker.records import ConsumerRecord, concat_keys
 from repro.broker.retry import RetryPolicy, run_with_retries
 
 
@@ -252,14 +252,22 @@ class Consumer:
         return fetched
 
     def poll_values(
-        self, max_records: int | None = None, with_timestamps: bool = False
+        self,
+        max_records: int | None = None,
+        with_timestamps: bool = False,
+        with_keys: bool = False,
     ):
         """Bulk poll without materializing :class:`ConsumerRecord` objects.
 
         Returns a list of bare values — or, ``with_timestamps``, a
         ``(values, timestamps)`` pair where ``timestamps`` is a compact
-        ``array('d')`` slab aligned with ``values``.  ``max_records=None``
-        drains every assigned partition in one request.  Charges, retry
+        ``array('d')`` slab aligned with ``values``.  ``with_keys`` returns
+        a ``(values, timestamps, keys)`` triple instead (``timestamps`` is
+        ``None`` unless requested); ``keys`` is a list aligned with
+        ``values``, or ``None`` when no fetched record carries a key
+        column (see :func:`~repro.broker.records.concat_keys`).
+        ``max_records=None`` drains every assigned partition in one
+        request.  Charges, retry
         draws and position advancement are identical to :meth:`poll` for
         the same fetched count: one request overhead per call plus the
         per-record fetch cost.  This is the pump's ingest fast path — the
@@ -275,20 +283,23 @@ class Consumer:
         zero_copy = (
             max_records is None
             and not with_timestamps
+            and not with_keys
             and len(self._assignment) == 1
             and self._positions.get(self._assignment[0]) == 0
         )
         values: list = []
         timestamps = array("d") if with_timestamps else None
+        key_parts: list = []
         budget = max_records
         for tp in self._assignment:
             if budget is not None and budget <= 0:
                 break
-            chunk, stamps = self._fetch_values(
-                tp, budget, with_timestamps, copy=not zero_copy
+            chunk, stamps, keys = self._fetch_values(
+                tp, budget, with_timestamps, with_keys, copy=not zero_copy
             )
             if chunk:
                 self._positions[tp] += len(chunk)
+                key_parts.append((len(chunk), keys))
                 if budget is not None:
                     budget -= len(chunk)
                 if values:
@@ -305,6 +316,8 @@ class Consumer:
             costs.request_overhead + costs.fetch_per_record * len(values)
         )
         self.records_fetched += len(values)
+        if with_keys:
+            return values, timestamps, concat_keys(key_parts)
         if with_timestamps:
             return values, timestamps
         return values
@@ -347,12 +360,14 @@ class Consumer:
         tp: TopicPartition,
         budget: int | None,
         with_timestamps: bool,
+        with_keys: bool,
         copy: bool = True,
     ):
-        """One guarded values(+timestamps) fetch, with retries.
+        """One guarded values(+timestamps)(+keys) fetch, with retries.
 
-        Both column slices are read inside a single attempt so a retry can
-        never observe a log grown between the value and timestamp reads.
+        Every column slice is read inside a single attempt so a retry can
+        never observe a log grown between the value, timestamp and key
+        reads.
         """
 
         def attempt():
@@ -363,7 +378,8 @@ class Consumer:
             stamps = (
                 log.read_timestamps(position, len(chunk)) if with_timestamps else None
             )
-            return chunk, stamps
+            keys = log.read_keys(position, len(chunk)) if with_keys else None
+            return chunk, stamps, keys
 
         if self.retry_policy is None:
             return attempt()

@@ -345,6 +345,23 @@ class PartitionLog:
             return self._timestamps[index:]
         return self._timestamps[index : index + max_records]
 
+    def read_keys(self, offset: int, max_records: int | None = None) -> list | None:
+        """Bulk-read the key column starting at ``offset``.
+
+        Returns a copy of the key slice aligned with :meth:`read_values`,
+        or ``None`` when the range carries no keys — an adopted value
+        column keeps its key column short, and missing keys are ``None``
+        exactly as :meth:`read` reports them.
+        """
+        if offset < self._base or offset > self.end_offset:
+            raise OffsetOutOfRangeError(self.topic, self.partition, offset)
+        lo = offset - self._base
+        hi = len(self._values)
+        if max_records is not None:
+            hi = min(hi, lo + max_records)
+        keys = self._keys
+        return keys[lo:hi] if len(keys) >= hi else None
+
     def record_at(self, offset: int) -> ConsumerRecord:
         """Return the single record at ``offset``."""
         if offset < self._base or offset >= self.end_offset:

@@ -48,8 +48,13 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   draw for draw, as the reference loop.  A kernel adopts its ``rng``
   between flushes, so two live kernels must not share one ``rng`` object
   (no query in this repo does).
-- ``identity``: zero-copy passthrough (chunks are private slices).
-- ``item`` / ``kv_value``: closure-free generated comprehensions.
+- ``identity``: zero-copy passthrough (chunks are private slices, or
+  column windows that must stay unmaterialised).
+- ``item`` / ``kv_value`` / ``ensure_kv``: closure-free generated
+  comprehensions.
+- ``kafka_kv`` (Beam ``withoutMetadata``): ``(key, value)`` pairs read
+  straight off a :class:`~repro.broker.records.KafkaRecordColumn`'s key
+  and value columns — no ``KafkaRecord`` is built.
 - chains (``ComposedFunction``): consecutive comprehension-shaped parts
   are fused into one generated comprehension (filters short-circuit
   before maps, preserving draw order and side-effect counts); bulk-shaped
@@ -346,11 +351,11 @@ class KernelSpec:
     are exactly the named shape; the equivalence suite enforces this for
     every spec shipped in the repo.  Stateless kinds: ``contains``,
     ``bernoulli``, ``column``, ``identity``, ``item``, ``kv_value``,
-    ``nexmark_decode``.  Stateful kinds (which carry the declaring
-    function as ``owner``): ``wordcount``, ``distinct_count``,
-    ``statistics``, ``keyed_reduce``, ``update_state``, ``group_by_key``,
-    ``nexmark_q3``, ``nexmark_q4``, ``nexmark_q5``,
-    ``windowed_aggregate``.
+    ``kafka_kv``, ``ensure_kv``, ``nexmark_decode``.  Stateful kinds
+    (which carry the declaring function as ``owner``): ``wordcount``,
+    ``distinct_count``, ``statistics``, ``keyed_reduce``,
+    ``update_state``, ``group_by_key``, ``nexmark_q3``, ``nexmark_q4``,
+    ``nexmark_q5``, ``windowed_aggregate``.
     """
 
     kind: str
@@ -401,6 +406,19 @@ class KernelSpec:
     def kv_value(cls) -> "KernelSpec":
         """``map(extract_kv_value)``: ``v[1]`` for 2-tuples, else ``v``."""
         return cls("kv_value")
+
+    @classmethod
+    def kafka_kv(cls) -> "KernelSpec":
+        """Beam ``withoutMetadata``: ``map(lambda r: r.kv())`` over
+        KafkaRecords (a :class:`~repro.broker.records.KafkaRecordColumn`
+        is read as columns, building no record)."""
+        return cls("kafka_kv")
+
+    @classmethod
+    def ensure_kv(cls) -> "KernelSpec":
+        """Beam KafkaIO write's input adapter: 2-tuples pass through,
+        any other value ``v`` becomes ``(None, v)``."""
+        return cls("ensure_kv")
 
     @classmethod
     def nexmark_decode(cls) -> "KernelSpec":
@@ -511,11 +529,19 @@ class IdentityKernel(Kernel):
 
     :class:`ChunkView` chunks also pass through unchanged, so a leading
     identity stage does not break a downstream kernel's slab path (the
-    pump tracks slab eligibility by object identity).
+    pump tracks slab eligibility by object identity).  So do
+    :class:`~repro.broker.records.KafkaRecordColumn` windows — the Beam
+    read translation's Flat Map — which ``list`` would turn into one
+    ``KafkaRecord`` per row.
     """
 
+    def __init__(self) -> None:
+        from repro.broker.records import KafkaRecordColumn
+
+        self._passthrough = (list, ChunkView, KafkaRecordColumn)
+
     def __call__(self, values: Sequence[Any]) -> list:
-        if isinstance(values, (list, ChunkView)):
+        if isinstance(values, self._passthrough):
             return values
         return list(values)
 
@@ -800,6 +826,28 @@ class ColumnKernel(Kernel):
 
     def describe(self) -> str:
         return f"column[{self.index} sep={self.sep!r}]"
+
+
+class KafkaKvKernel(Kernel):
+    """``kafka_kv``: ``withoutMetadata`` over a whole chunk.
+
+    A :class:`~repro.broker.records.KafkaRecordColumn` chunk yields its
+    ``(key, value)`` pairs straight from the key and value columns; any
+    other chunk takes the reference ``r.kv()`` per record.
+    """
+
+    def __init__(self) -> None:
+        from repro.broker.records import KafkaRecordColumn
+
+        self._column = KafkaRecordColumn
+
+    def __call__(self, values: Sequence[Any]) -> list:
+        if type(values) is self._column:
+            return values.kv()
+        return [record.kv() for record in values]
+
+    def describe(self) -> str:
+        return "kafka-kv"
 
 
 class FusedKernel(Kernel):
@@ -1413,6 +1461,12 @@ def _fragment(spec: KernelSpec):
             "({v}[1] if isinstance({v}, tuple) and len({v}) == 2 else {v})",
             (),
         )
+    if spec.kind == "ensure_kv":
+        return (
+            "map",
+            "({v} if isinstance({v}, tuple) and len({v}) == 2 else (None, {v}))",
+            (),
+        )
     raise ValueError(f"spec kind {spec.kind!r} has no comprehension fragment")
 
 
@@ -1458,6 +1512,7 @@ _BULK_KINDS = {
     "contains": lambda spec: GrepKernel(spec.needle),
     "bernoulli": lambda spec: SampleKernel(spec.fraction, spec.rng),
     "column": lambda spec: ColumnKernel(spec.index, spec.sep),
+    "kafka_kv": lambda spec: KafkaKvKernel(),
     "nexmark_decode": lambda spec: NexmarkDecodeKernel(),
 }
 

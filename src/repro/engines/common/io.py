@@ -9,9 +9,11 @@ identical across engines, as they are in reality.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any
 
 from repro.broker import BrokerCluster, Consumer, Producer, TopicPartition
+from repro.broker.records import KafkaRecordColumn, concat_keys
 
 
 class BoundedKafkaReader:
@@ -49,21 +51,49 @@ class BoundedKafkaReader:
         consumer.close()
         return values
 
-    def read_records(self) -> list[Any]:
-        """Fetch all consumer records currently in the topic."""
+    def read_column(self) -> KafkaRecordColumn:
+        """Fetch every record currently in the topic as a column view.
+
+        Requests, charges and retry draws are exactly those of a
+        ``Consumer.poll(max_records=10_000)`` loop run until an empty
+        poll — a fresh :class:`Consumer` with its own retry stream, one
+        guarded request per partition per poll — but each guarded attempt
+        reads the value, timestamp and key column slices instead of
+        building :class:`~repro.broker.records.ConsumerRecord` objects.
+        The result is partition-major, like the poll loop's.
+        """
         topic = self.cluster.topic(self.topic)
+        partitions = [
+            TopicPartition(self.topic, p) for p in range(topic.num_partitions)
+        ]
         consumer = Consumer(self.cluster)
-        consumer.assign(
-            [TopicPartition(self.topic, p) for p in range(topic.num_partitions)]
-        )
-        out: list[Any] = []
+        consumer.assign(partitions)
+        first_offsets = [consumer.position(tp) for tp in partitions]
+        values: list[Any] = []
+        timestamps = array("d")
+        key_parts: list = []
         while True:
-            batch = consumer.poll(max_records=10_000)
-            if not batch:
+            chunk, stamps, keys = consumer.poll_values(
+                max_records=10_000, with_timestamps=True, with_keys=True
+            )
+            if not chunk:
                 break
-            out.extend(batch)
+            if values:
+                values.extend(chunk)
+            else:
+                values = chunk  # adopt the first poll's (fresh) list
+            timestamps.extend(stamps)
+            key_parts.append((len(chunk), keys))
+        segments = []
+        row = 0
+        for tp, first in zip(partitions, first_offsets):
+            count = consumer.position(tp) - first
+            segments.append((row, row + count, tp.partition, first))
+            row += count
         consumer.close()
-        return out
+        return KafkaRecordColumn(
+            self.topic, values, timestamps, concat_keys(key_parts), tuple(segments)
+        )
 
 
 class KafkaWriter:

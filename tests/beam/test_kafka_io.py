@@ -7,13 +7,24 @@ from repro.beam.errors import BeamError
 from repro.beam.io.kafka import (
     KafkaRead,
     KafkaRecord,
+    KafkaRecordColumn,
     KafkaWrite,
     ReadFromKafka,
     WriteToKafka,
     read,
     write,
 )
-from repro.broker import Producer
+from repro.broker import (
+    BrokerCluster,
+    Consumer,
+    FaultPlan,
+    NodeOutage,
+    Producer,
+    TopicConfig,
+    TopicPartition,
+)
+from repro.engines.common.io import BoundedKafkaReader
+from repro.simtime import Simulator
 
 
 @pytest.fixture
@@ -115,3 +126,173 @@ class TestWriteExpansion:
     def test_builders_return_composites(self, broker):
         assert isinstance(read(broker, "x"), ReadFromKafka)
         assert isinstance(write(broker, "x"), WriteToKafka)
+
+
+def poll_loop_records(broker, topic):
+    """The record list a ``Consumer.poll(max_records=10_000)`` loop reads.
+
+    Registers the same two clients the column read does (the reader's
+    own retry stream, then the consumer's), so both paths leave the
+    cluster in the same state.
+    """
+    BoundedKafkaReader(broker, topic)
+    consumer = Consumer(broker)
+    count = broker.topic(topic).num_partitions
+    consumer.assign([TopicPartition(topic, p) for p in range(count)])
+    polled = []
+    while True:
+        batch = consumer.poll(max_records=10_000)
+        if not batch:
+            break
+        polled.extend(batch)
+    consumer.close()
+    return [
+        KafkaRecord(r.topic, r.partition, r.offset, r.timestamp, r.key, r.value)
+        for r in polled
+    ]
+
+
+def column_of(broker, topic):
+    column = KafkaRead(broker, topic).read_records()
+    assert isinstance(column, KafkaRecordColumn)
+    return column
+
+
+class TestColumnRead:
+    """``KafkaRead.read_records`` returns a column equal to the poll loop's list."""
+
+    def test_unkeyed_column_matches_poll_loop(self, broker, topic):
+        column = column_of(broker, topic)
+        assert list(column) == poll_loop_records(broker, topic)
+        assert column.kv() == [(None, "v0"), (None, "v1"), (None, "v2")]
+
+    def test_keyed_records(self, broker, admin):
+        admin.create_topic("keyed")
+        with Producer(broker) as producer:
+            for i in range(5):
+                producer.send("keyed", f"v{i}", key=f"k{i}" if i % 2 else None)
+        column = column_of(broker, "keyed")
+        records = poll_loop_records(broker, "keyed")
+        assert list(column) == records
+        assert [r.key for r in column] == [None, "k1", None, "k3", None]
+        assert column.kv() == [r.kv() for r in records]
+        assert column[1:4].kv() == [r.kv() for r in records[1:4]]
+
+    def test_adopted_column_has_short_key_column(self, broker, admin):
+        pytest.importorskip("numpy")  # slab columns need it
+        from repro.workloads.columnar import ColumnarWorkload
+
+        admin.create_topic("adopted")
+        lines = ColumnarWorkload.generate(300).column()
+        log = broker.topic("adopted").partition(0)
+        log.append_batch(lines.view(0, 300))
+        assert len(log._keys) < len(log)  # adopted: no key column at all
+        column = column_of(broker, "adopted")
+        assert column.keys is None
+        assert list(column) == poll_loop_records(broker, "adopted")
+        assert column.kv() == [(None, line) for line in lines]
+
+    def test_keyed_and_adopted_partitions_mix(self, broker):
+        pytest.importorskip("numpy")  # slab columns need it
+        from repro.workloads.columnar import ColumnarWorkload
+
+        broker.create_topic("mixed", TopicConfig(num_partitions=2))
+        lines = ColumnarWorkload.generate(50).column()
+        broker.topic("mixed").partition(0).append_batch(lines.view(0, 50))
+        broker.topic("mixed").partition(1).append_batch(["a", "b"], keys=["x", "y"])
+        column = column_of(broker, "mixed")
+        assert column.keys == [None] * 50 + ["x", "y"]
+        assert list(column) == poll_loop_records(broker, "mixed")
+
+    def test_three_partitions_partition_major(self, broker):
+        broker.create_topic("multi", TopicConfig(num_partitions=3))
+        with Producer(broker) as producer:
+            for i in range(10):
+                producer.send("multi", f"v{i}", partition=i % 3)
+        column = column_of(broker, "multi")
+        records = poll_loop_records(broker, "multi")
+        assert list(column) == records
+        assert [(r.partition, r.offset) for r in column] == [
+            (0, 0), (0, 1), (0, 2), (0, 3),
+            (1, 0), (1, 1), (1, 2),
+            (2, 0), (2, 1), (2, 2),
+        ]
+        assert [column[i] for i in range(len(column))] == records
+
+    def test_empty_topic(self, broker, admin):
+        admin.create_topic("empty")
+        column = column_of(broker, "empty")
+        assert len(column) == 0
+        assert list(column) == [] == poll_loop_records(broker, "empty")
+        assert column.kv() == []
+        with pytest.raises(IndexError):
+            column[0]
+
+    def test_negative_indices_and_nested_slices(self, broker):
+        broker.create_topic("multi", TopicConfig(num_partitions=3))
+        with Producer(broker) as producer:
+            for i in range(30):
+                producer.send("multi", f"v{i}", key=i, partition=i % 3)
+        column = column_of(broker, "multi")
+        records = list(column)
+        assert records == poll_loop_records(broker, "multi")
+        for index in (-1, -5, -30, 0, 17):
+            assert column[index] == records[index]
+        with pytest.raises(IndexError):
+            column[-31]
+        with pytest.raises(IndexError):
+            column[30]
+        window = column[3:25]
+        assert isinstance(window, KafkaRecordColumn)
+        assert len(window) == 22
+        assert list(window) == records[3:25]
+        inner = window[-15:-2]
+        assert isinstance(inner, KafkaRecordColumn)
+        assert list(inner) == records[3:25][-15:-2]
+        assert inner[-1] == records[3:25][-15:-2][-1]
+        assert inner.kv() == [r.kv() for r in records[3:25][-15:-2]]
+        assert list(inner[5:100]) == records[3:25][-15:-2][5:100]
+        assert list(column[20:5]) == []
+        assert column[::4] == records[::4]
+        assert window[::-3] == records[3:25][::-3]
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
+    def test_charges_and_client_ids_match_poll_loop(self, chaos):
+        """Same simulated clock and client-id counter as the poll loop.
+
+        ~25k records over two partitions make the loop span several
+        10k-record requests, one of them straddling the partitions; under
+        chaos the guarded requests draw the fault streams, so any extra
+        or reordered request would move the clock.
+        """
+
+        def world():
+            sim = Simulator(seed=7)
+            broker = BrokerCluster(sim, num_nodes=3)
+            if chaos:
+                broker.attach_chaos(
+                    FaultPlan(
+                        error_rate=0.3,
+                        latency_jitter=1e-4,
+                        outages=(NodeOutage(node_id=1, start=0.0, duration=0.001),),
+                    )
+                )
+            broker.create_topic("big", TopicConfig(num_partitions=2))
+            with Producer(broker, batch_size=5_000) as producer:
+                producer.send_values("big", [f"r{i}" for i in range(13_000)], partition=0)
+                producer.send_values("big", [f"s{i}" for i in range(12_000)], partition=1)
+            return sim, broker
+
+        sim_a, broker_a = world()
+        sim_b, broker_b = world()
+        assert sim_a.now() == sim_b.now()
+        injected = broker_a.chaos.errors_injected if chaos else 0
+        column = column_of(broker_a, "big")
+        records = poll_loop_records(broker_b, "big")
+        assert list(column) == records
+        assert len(column) == 25_000
+        assert sim_a.now() == sim_b.now()
+        assert broker_a.register_client() == broker_b.register_client()
+        if chaos:  # the read's own requests drew faults and retried
+            assert broker_a.chaos.errors_injected > injected
+            assert broker_a.chaos.errors_injected == broker_b.chaos.errors_injected

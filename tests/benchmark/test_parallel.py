@@ -173,3 +173,42 @@ class TestRunnerPlumbing:
         assert report.sender_report is not None
         assert report.sender_report.records_sent == config.records
         assert report == StreamBenchHarness(config).run_matrix(parallel=False)
+
+
+class TestCellWorldRelease:
+    """A finished cell frees its broker world by reference count alone.
+
+    Each cell's world is a web of reference cycles (broker, engines,
+    pipeline graphs); only deleting its topics lets the ingested input
+    and the query output go as soon as the cell returns, without waiting
+    for the cyclic collector.
+    """
+
+    @pytest.mark.parametrize("kind", ["native", "beam"])
+    @pytest.mark.parametrize("system", ["flink", "spark", "apex"])
+    def test_input_log_is_freed_without_gc(self, monkeypatch, system, kind):
+        import gc
+        import weakref
+
+        logs = []
+        original = StreamBenchHarness.ingest
+
+        def ingest(harness):
+            report = original(harness)
+            topic = harness.broker.topic(harness.config.input_topic)
+            logs.append(weakref.ref(topic.partition(0)))
+            return report
+
+        monkeypatch.setattr(StreamBenchHarness, "ingest", ingest)
+        config = full_grid_config(records=1_000, runs=2)
+        runner = MatrixRunner(config)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runs = runner.run_cell(CellSpec(0, system, "grep", kind, 1))
+            assert len(runs) == 2
+            assert len(logs) == 1
+            assert logs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()

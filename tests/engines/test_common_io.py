@@ -20,7 +20,7 @@ class TestBoundedKafkaReader:
             producer.send("t", "a")
             sim.charge(1.0)
             producer.send("t", "b")
-        records = BoundedKafkaReader(broker, "t").read_records()
+        records = BoundedKafkaReader(broker, "t").read_column()
         assert records[1].timestamp > records[0].timestamp
 
     def test_reads_across_partitions(self, broker):
@@ -36,7 +36,7 @@ class TestBoundedKafkaReader:
         with Producer(broker) as producer:
             producer.send_values("t", list(range(50)))
         reader = BoundedKafkaReader(broker, "t")
-        assert reader.read_values() == [r.value for r in reader.read_records()]
+        assert reader.read_values() == [r.value for r in reader.read_column()]
 
     def test_charges_simulated_time(self, sim, broker, admin):
         admin.create_topic("t")
