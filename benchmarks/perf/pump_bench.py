@@ -12,15 +12,13 @@ pipeline.
 Two kinds of measurement:
 
 * **Pump microbenchmarks** — the same stage pipeline is pumped through
-  all three execution tiers: the per-record reference loop (``tuple``,
-  ``vectorized=False``), the chunk-at-a-time batch path (``batch``,
-  ``vectorized=True`` with kernels off), and the compiled-kernel path
-  (``kernel``, the production default — see
-  ``repro.dataflow.kernels``); outputs are asserted identical and both
-  speedups over the tuple path are reported.  The ``identity-op``
-  scenario is the headline: a pass-through operator measures pure host
-  dispatch overhead, which is exactly what the batch protocol and the
-  kernels eliminate.  The keyed scenarios (stateful wordcount and the
+  both execution tiers: the per-record reference loop (``tuple``,
+  ``vectorized=False``) and the compiled-kernel path (``kernel``, the
+  production default — see ``repro.dataflow.kernels``); outputs are
+  asserted identical and the kernel speedup over the tuple path is
+  reported.  The ``identity-op`` scenario is the headline: a
+  pass-through operator measures pure host dispatch overhead, which is
+  exactly what the kernels eliminate.  The keyed scenarios (stateful wordcount and the
   Nexmark Q3/Q4/Q5 queries over encoded events) exercise the stateful
   kernel tier and the plan compiler's decode fusion.
 * **Generation** — cold workload generation, slab-direct byte columns
@@ -69,9 +67,8 @@ Two kinds of measurement:
   *start and fan out* on the host, complementing the per-pump numbers.
 
 Results are written to ``BENCH_pump.json`` at the repository root; each
-scenario records records/sec for all three paths plus ``speedup``
-(kernel over tuple, the headline ratio) and ``batch_speedup`` (batch
-over tuple).  CI's perf-smoke job gates on the *speedups*
+scenario records records/sec for both tiers plus ``speedup`` (kernel
+over tuple, the headline ratio).  CI's perf-smoke job gates on the *speedups*
 (machine-independent ratios) against ``benchmarks/perf/baseline.json``
 and on the absolute per-query kernel floors from the issue — absolute
 throughput is recorded for trend-watching but not gated, because runner
@@ -246,12 +243,8 @@ def _build_stages(function: StreamFunction) -> list[PhysicalStage]:
     ]
 
 
-#: Execution tiers timed by the microbenchmark, as (vectorized, use_kernels).
-TIERS: dict[str, tuple[bool, bool]] = {
-    "tuple": (False, False),
-    "batch": (True, False),
-    "kernel": (True, True),
-}
+#: Execution tiers timed by the microbenchmark, as ``StreamPump.vectorized``.
+TIERS: dict[str, bool] = {"tuple": False, "kernel": True}
 
 
 def _time_pump_once(
@@ -260,7 +253,6 @@ def _time_pump_once(
     tier: str,
 ) -> tuple[float, int]:
     """One timed pump run on ``tier``; returns (seconds, records_out)."""
-    vectorized, use_kernels = TIERS[tier]
     function = make_function()
     function.open()
     pump = StreamPump(
@@ -269,8 +261,7 @@ def _time_pump_once(
         variance=RunVariance(),
         rng=random.Random(7),
     )
-    pump.vectorized = vectorized
-    pump.use_kernels = use_kernels
+    pump.vectorized = TIERS[tier]
     started = time.perf_counter()
     result = pump.run(records)
     seconds = time.perf_counter() - started
@@ -279,14 +270,14 @@ def _time_pump_once(
 
 
 def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str, Any]:
-    """Pump all three execution tiers over every scenario; returns results.
+    """Pump both execution tiers over every scenario; returns results.
 
     Each scenario's output record count must agree across the tiers (the
     equivalence *test* suites prove bit-identity; this is the cheap sanity
     check that the timed code paths did the same work).
 
-    Timing is *interleaved and rotated*: every repeat times all three
-    tiers back to back in a per-repeat rotated order, and each tier keeps
+    Timing is *interleaved and rotated*: every repeat times both tiers
+    back to back in a per-repeat rotated order, and each tier keeps
     its best repeat.  On thermally-throttled hosts a tier-major loop
     systematically flatters whichever tier runs first on a cool CPU, and
     a fixed within-repeat order flatters whichever tier follows the
@@ -328,9 +319,7 @@ def run_microbenchmark(num_records: int = 200_000, repeats: int = 3) -> dict[str
             "records": n_in,
             "records_out": outs["kernel"],
             "tuple_records_per_sec": round(n_in / seconds["tuple"]),
-            "batch_records_per_sec": round(n_in / seconds["batch"]),
             "kernel_records_per_sec": round(n_in / seconds["kernel"]),
-            "batch_speedup": round(seconds["tuple"] / seconds["batch"], 2),
             # The headline ratio: compiled kernels vs the tuple reference.
             "speedup": round(seconds["tuple"] / seconds["kernel"], 2),
         }

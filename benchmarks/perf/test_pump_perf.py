@@ -21,9 +21,7 @@ across hardware, unlike absolute records/sec.  Checks:
   per word dominates every tier), so it is gated by the
   baseline-regression family only — see docs/architecture.md;
 * no scenario may regress more than 30% below the checked-in baseline
-  ratios in ``baseline.json`` — for *both* ratio families (kernel/tuple
-  in ``speedups``, batch/tuple in ``batch_speedups``), so a regression
-  in either fast tier is caught even while the other holds;
+  kernel/tuple ratios in ``baseline.json`` (``speedups``);
 * a warm workload-cache load must stay ≥5× faster than regenerating the
   same workload (the cache's reason to exist);
 * cold slab-direct (columnar) workload generation must stay ≥3× faster
@@ -202,18 +200,17 @@ def test_keyed_kernel_floors(micro: dict) -> None:
 
 
 def test_no_regression_vs_baseline(micro: dict) -> None:
-    """Both ratio families stay within 30% of their checked-in baselines."""
+    """Kernel speedups stay within 30% of their checked-in baselines."""
     baseline = json.loads(pathlib.Path(BASELINE_PATH).read_text())
     failures = []
-    for family, key in (("speedups", "speedup"), ("batch_speedups", "batch_speedup")):
-        for name, expected in baseline[family].items():
-            measured = micro["scenarios"][name][key]
-            floor = REGRESSION_FLOOR * expected
-            if measured < floor:
-                failures.append(
-                    f"{name} [{key}]: {measured:.2f}x < {floor:.2f}x "
-                    f"(baseline {expected:.2f}x, -30% allowed)"
-                )
+    for name, expected in baseline["speedups"].items():
+        measured = micro["scenarios"][name]["speedup"]
+        floor = REGRESSION_FLOOR * expected
+        if measured < floor:
+            failures.append(
+                f"{name}: {measured:.2f}x < {floor:.2f}x "
+                f"(baseline {expected:.2f}x, -30% allowed)"
+            )
     assert not failures, "speedup regressions:\n" + "\n".join(failures)
 
 
@@ -443,18 +440,11 @@ def test_scalability_beam_penalty_per_system(scalability: dict) -> None:
         )
 
 
-def test_batch_path_is_the_default() -> None:
-    """Production pumps must use the fast path out of the box."""
-    from repro.engines.common.pump import StreamPump
-
-    assert StreamPump.vectorized is True
-
-
 def test_kernel_path_is_the_default() -> None:
     """Compiled kernels are the production tier, not an opt-in."""
     from repro.engines.common.pump import StreamPump
 
-    assert StreamPump.use_kernels is True
+    assert StreamPump.vectorized is True
 
 
 def test_capacity_knee_and_percentiles(capacity_bench: dict) -> None:

@@ -114,14 +114,14 @@ def test_same_chaos_seed_is_bit_identical():
     assert chaotic_run(system) == chaotic_run(system)
 
 
-def test_vectorized_batch_path_composes_with_chaos(monkeypatch):
-    """The execution fast path changes nothing under broker chaos.
+def test_kernel_path_composes_with_chaos(monkeypatch):
+    """The compiled production path changes nothing under broker chaos.
 
     A lost acknowledgement makes the producer replay a whole vectorized
     batch; idempotent produce must still recognise it by sequence number
     and drop it.  The entire chaotic run — fault schedule, retries,
     deduplication, recovery, measured times — has to be bit-identical
-    between the batch fast path and the per-record reference loop.
+    between the kernel tier and the per-record reference loop.
     """
     from repro.engines.common.pump import StreamPump
 

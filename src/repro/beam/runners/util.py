@@ -41,7 +41,7 @@ class DoFnAdapter(StreamFunction):
     def process_batch(self, values: Sequence[Any]) -> list[Any]:
         # The DoFn itself stays per-element — that wrapped invocation is
         # exactly the Beam translation overhead the paper measures (in
-        # simulated time).  The batch path only removes the adapter's own
+        # simulated time).  Batch execution only removes the adapter's own
         # host-side layer (one call and one list copy per record).
         out: list[Any] = []
         extend = out.extend

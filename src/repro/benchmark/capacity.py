@@ -23,8 +23,8 @@ Determinism: every probe runs in a fresh isolated world seeded from the
 campaign seed alone (the :class:`~repro.benchmark.parallel.MatrixRunner`
 pattern), the pump charges raw cost-model costs (no variance draws), and
 the arrival schedule is precomputed once per probe — so the capacity
-report is bit-identical between serial and parallel execution, across all
-three execution tiers, and on both data planes.
+report is bit-identical between serial and parallel execution, across
+both execution tiers, and on both data planes.
 
 **Scalability curves** (:meth:`CapacityRunner.run_scalability`) sweep the
 knee over parallelism levels per system × SDK kind × query: a probe at

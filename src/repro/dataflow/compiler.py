@@ -1,10 +1,10 @@
-"""Plan compiler: lower a stage's function to the best execution tier.
+"""Plan compiler: lower a stage's function to its production kernel.
 
 :func:`lower_stage` is the single entry point the pump's stages use
-(:meth:`repro.engines.common.stages.PhysicalStage.compiled_kernel`); it
-replaces the old per-operator pattern matching with one lowering pass that
-chooses per stage along the tier ladder **kernel → vectorized batch →
-reference loop**.
+(:meth:`repro.engines.common.stages.PhysicalStage.compiled_kernel`), and
+the only thing that decides how an operator stage runs on the production
+path.  Every function lowers to a :class:`~repro.dataflow.kernels.Kernel`;
+the pump's only other tier is the per-record reference loop, the oracle.
 
 Lowering rules:
 
@@ -18,13 +18,14 @@ Lowering rules:
 3. A :class:`~repro.dataflow.functions.ComposedFunction` lowers
    *segment-wise*: consecutive stateless specced parts fuse into one
    chain, stateful specced parts get their dedicated kernels, and
-   consecutive spec-less parts execute through their ``process_batch`` —
-   so one opaque part no longer demotes a whole chain off the kernel
-   tier.  Segment-wise execution is part-major, exactly the order
+   consecutive spec-less parts become a :class:`BatchSegment` running
+   their ``process_batch`` — so one opaque part does not demote a whole
+   chain.  Segment-wise execution is part-major, exactly the order
    ``ComposedFunction.process_batch`` uses, so outputs are bit-identical.
-4. A function with no spec at all lowers to ``None`` and the pump falls
-   down the ladder (``process_batch``, then the per-record reference
-   loop).
+4. A function with no spec at all — or a composition none of whose parts
+   has one — lowers to a :class:`BatchSegment` over the whole function,
+   so a composition keeps ``ComposedFunction.process_batch``'s early exit
+   on an emptied chunk.
 5. Each stage has exactly one production lowering.  Partition
    parallelism is simulated one level up, by
    :class:`~repro.engines.common.sharded.ShardedPump`, which gives every
@@ -48,8 +49,8 @@ from repro.dataflow.kernels import Kernel
 class BatchSegment(Kernel):
     """A run of spec-less parts executed through their ``process_batch``.
 
-    This is exactly the vectorized-batch tier for those parts, wrapped so
-    it can sit between kernel segments of the same composed stage.
+    Stands alone for a spec-less stage, or sits between kernel segments
+    of the same composed stage.
     """
 
     def __init__(self, parts: Sequence[Any]) -> None:
@@ -101,23 +102,21 @@ class SegmentKernel(Kernel):
         return " => ".join(segment.describe() for segment in self.segments)
 
 
-def lower_stage(function: Any) -> Kernel | None:
-    """Lower ``function`` to a kernel, or ``None`` for the batch tier."""
-    if function is None:
-        return None
+def lower_stage(function: Any) -> Kernel:
+    """Lower an operator stage's ``function`` to its production kernel."""
     if isinstance(function, ComposedFunction):
         return _lower_composed(function)
     spec = getattr(function, "kernel_spec", None)
     if spec is None:
-        return None
+        return BatchSegment([function])
     return _kernels._build_chain([spec])
 
 
-def _lower_composed(function: ComposedFunction) -> Kernel | None:
+def _lower_composed(function: ComposedFunction) -> Kernel:
     parts = function.parts
     specs = [getattr(part, "kernel_spec", None) for part in parts]
     if all(spec is None for spec in specs):
-        return None  # nothing to gain over the composed batch path
+        return BatchSegment([function])
 
     # Peephole pass: fuse (decode, query) wire pairs, then classify the
     # rest as spec runs or opaque-part runs.

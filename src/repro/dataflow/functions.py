@@ -49,9 +49,10 @@ class StreamFunction:
     rng_draws_per_record = 0.0
     #: Optional declaration of the function's exact per-record semantics
     #: (see :class:`repro.dataflow.kernels.KernelSpec`).  When present, the
-    #: pump may execute the function through a compiled batch kernel
-    #: instead of ``process_batch`` — a promise that must hold exactly; the
-    #: kernel-equivalence suite enforces it for every spec in the repo.
+    #: plan compiler lowers the function to a fused kernel instead of a
+    #: ``BatchSegment`` over ``process_batch`` — a promise that must hold
+    #: exactly; the kernel-equivalence suite enforces it for every spec in
+    #: the repo.
     kernel_spec: KernelSpec | None = None
 
     def process(self, value: Any) -> Iterable[Any]:

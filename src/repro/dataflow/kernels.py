@@ -1,21 +1,21 @@
-"""Compiled batch kernels: the closure-free third execution tier.
+"""Compiled batch kernels: the closure-free production execution tier.
 
-The pump executes operators at one of three tiers (see
+The pump executes operators at one of two tiers (see
 ``docs/architecture.md``, *Execution tiers*):
 
 1. **reference** — the per-record loop (``StreamPump.vectorized = False``),
-2. **batch** — chunk-at-a-time ``process_batch`` (still one Python
-   callable invocation per record for map/filter closures),
-3. **kernel** — this module: the logical shape of a function, declared as
+   the oracle;
+2. **kernel** — this module: the logical shape of a function, declared as
    a :class:`KernelSpec`, is compiled into a fused batch kernel that
-   processes a whole chunk without entering a per-record closure.
+   processes a whole chunk without entering a per-record closure.  The
+   plan compiler (``repro.dataflow.compiler``) lowers spec-less functions
+   to a ``BatchSegment`` over their chunk-at-a-time ``process_batch``.
 
 A kernel is a *host-side* optimisation only: it must produce bit-identical
 outputs to the reference loop (the simulated clock depends only on record
 counts, which are unchanged).  Every kernel therefore carries exact cheap
-guards and falls back to a plain comprehension — and the pump falls back
-to ``process_batch`` — whenever the data or the function shape is not
-provably uniform.
+guards and falls back to a plain comprehension whenever the data or the
+function shape is not provably uniform.
 
 Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
 
@@ -88,8 +88,8 @@ Keyed & stateful kernels (the Table-2/Nexmark path; see
   identically.
 - ``windowed_aggregate``: trigger-less windowed panes
   (``repro.dataflow.windowing``) with the ``FixedWindows`` assignment
-  arithmetic inlined; ``AfterCount`` triggers deliberately keep the
-  reference/batch tiers (a documented fallback edge).
+  arithmetic inlined; ``AfterCount`` triggers deliberately keep
+  ``process_batch`` (a documented fallback edge).
 """
 
 from __future__ import annotations
@@ -101,10 +101,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Sequence
 
-try:  # numpy accelerates the bulk kernels; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the reference container has numpy
-    _np = None
+import numpy as _np
 
 _NL = 10  # ord("\n")
 _MIN_BULK = 32  # below this, comprehension fallbacks win
@@ -173,7 +170,7 @@ def _build_slab(records: list) -> WorkloadSlab | None:
     return WorkloadSlab(records, text, data, arr, starts)
 
 
-def slab_from_columns(data, starts) -> WorkloadSlab | None:
+def slab_from_columns(data, starts) -> WorkloadSlab:
     """A slab over pre-built byte columns (the columnar plane's layout).
 
     ``data`` is the newline-joined ASCII buffer (no trailing newline) and
@@ -184,8 +181,6 @@ def slab_from_columns(data, starts) -> WorkloadSlab | None:
     the columns are trusted to describe a newline-unambiguous ASCII
     stream (generation guarantees it; the cache tier checksums it).
     """
-    if _np is None:
-        return None
     arr = _np.frombuffer(data, _np.uint8)
     if not isinstance(starts, _np.ndarray):
         starts = _np.frombuffer(starts, _np.int64)
@@ -322,8 +317,6 @@ def slab_for(records: Any) -> WorkloadSlab | None:
     shape the pump's pristine-chunk tracking requires (chunk row ``base``
     equals slab row).
     """
-    if _np is None:
-        return None
     if type(records) is SlabColumn:
         return records.slab if records.start == 0 else None
     if type(records) is not list or len(records) < SLAB_MIN_RECORDS:
@@ -563,10 +556,7 @@ class GrepKernel(Kernel):
     def __init__(self, needle: str) -> None:
         self.needle = needle
         self._bulk = (
-            _np is not None
-            and len(needle) >= 2
-            and needle.isascii()
-            and "\n" not in needle
+            len(needle) >= 2 and needle.isascii() and "\n" not in needle
         )
         if self._bulk:
             encoded = needle.encode("ascii")
@@ -682,7 +672,7 @@ class SampleKernel(Kernel):
     def __init__(self, fraction: float, rng: random.Random) -> None:
         self.fraction = fraction
         self.rng = rng
-        self._bulk = _np is not None
+        self._bulk = True
         self._state = None
         self._gauss = None
 
@@ -752,9 +742,7 @@ class ColumnKernel(Kernel):
         self.index = index
         self.sep = sep
         self._fast = index == 0 and isinstance(sep, str) and len(sep) == 1
-        self.supports_slab = bool(
-            self._fast and _np is not None and ord(sep) < 128
-        )
+        self.supports_slab = self._fast and ord(sep) < 128
         self._slab: WorkloadSlab | None = None
         self._column: list | None = None
 
@@ -997,7 +985,7 @@ class StatisticsKernel(StatefulKernel):
             append(float(len(parts[1] if len(parts) > 1 else line)))
         fn = self._fn
         n = len(lengths)
-        if _np is None or n < _MIN_BULK:
+        if n < _MIN_BULK:
             out: list = []
             emit = out.append
             minimum, maximum = fn.minimum, fn.maximum
@@ -1173,7 +1161,7 @@ class WindowedAggregateKernel(StatefulKernel):
     operations, with degenerate results delegated back to ``assign`` so
     its validation raises identically); other window functions call
     ``assign`` per element.  Only trigger-less owners declare the spec —
-    ``AfterCount`` keeps the reference/batch tiers.
+    ``AfterCount`` keeps ``process_batch``.
     """
 
     def __init__(self, fn: Any) -> None:
@@ -1555,7 +1543,9 @@ def compile_function(function: Any) -> Kernel | None:
     """Compile a :class:`StreamFunction` into a kernel, or ``None``.
 
     ``ComposedFunction`` chains compile only when *every* part declares a
-    spec; anything unspecced keeps the ``process_batch`` tier.
+    spec; anything unspecced returns ``None``.  (Stage lowering goes
+    through :func:`repro.dataflow.compiler.lower_stage`, which never
+    returns ``None``.)
     """
     from repro.dataflow.functions import ComposedFunction
 

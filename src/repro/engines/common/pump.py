@@ -58,29 +58,27 @@ class StreamPump:
     task launch).  Tuple-at-a-time engines leave it ``None``; chunking then
     exists purely as simulation granularity and does not affect totals.
 
-    **Execution tiers.**  Each chunk runs through the stages at one of
-    three host-side tiers, fastest available first: a **compiled kernel**
-    (``repro.dataflow.kernels``; used when the stage's function declares a
-    :class:`~repro.dataflow.kernels.KernelSpec` and ``use_kernels`` is on),
-    the chunk-at-a-time **batch** path (:meth:`StreamFunction.process_batch`,
-    when ``vectorized`` is on), or the per-record **reference loop**.  Tier
-    choice changes nothing observable: the chunk boundaries, per-chunk cost
-    charges, emission timestamps, and the determinism contract (exactly
-    three variance draws per run) are identical in all three — the
-    equivalence suites (``tests/engines/test_batch_equivalence.py``,
-    ``tests/engines/test_kernel_equivalence.py``) and the host-perf
-    baseline (``benchmarks/perf/``) prove bit-identical behaviour and
-    measure the speedups.  Kernels may adopt RNG state for bulk drawing;
-    :meth:`run` returns it at the end of the run (and the recovery path
-    after every chunk) via the kernels' ``flush`` hooks.
+    **Execution tiers.**  Each chunk runs through the stages at one of two
+    host-side tiers.  The production path (``vectorized``, the default)
+    runs every operator stage through the kernel the plan compiler
+    (:func:`repro.dataflow.compiler.lower_stage`) lowered it to: fused or
+    stateful kernels for spec-declaring functions, a ``BatchSegment``
+    over :meth:`StreamFunction.process_batch` for spec-less ones.  The
+    per-record **reference loop** is the oracle.  Tier choice changes
+    nothing observable: the chunk boundaries, per-chunk cost charges,
+    emission timestamps, and the determinism contract (exactly three
+    variance draws per run) are identical in both — the equivalence
+    suites (``tests/engines/test_kernel_equivalence.py`` and its keyed and
+    Beam siblings) and the host-perf baseline (``benchmarks/perf/``) prove
+    bit-identical behaviour and measure the speedups.  Kernels may adopt
+    RNG state for bulk drawing; :meth:`run` returns it at the end of the
+    run (and the recovery path after every chunk) via the kernels'
+    ``flush`` hooks.
     """
 
-    #: Use the batch fast path (class-level switch; the reference
+    #: Run the compiled production path (class-level switch; the reference
     #: per-record loop stays available for equivalence and perf baselines).
     vectorized: bool = True
-    #: Execute spec-declaring functions through compiled kernels (the
-    #: third tier; only consulted when ``vectorized`` is also on).
-    use_kernels: bool = True
 
     def __init__(
         self,
@@ -128,9 +126,7 @@ class StreamPump:
     @property
     def tier(self) -> str:
         """The execution tier this pump is configured for."""
-        if self.vectorized and self.use_kernels:
-            return "kernel"
-        return "batch" if self.vectorized else "tuple"
+        return "kernel" if self.vectorized else "tuple"
 
     # ------------------------------------------------------------------
     def run(self, records: Sequence[Any]) -> PumpResult:
@@ -326,12 +322,11 @@ class StreamPump:
         slab — the generated byte columns flow into the kernels without a
         single record object or re-pack in between.
         """
-        if not (self.use_kernels and self.vectorized):
+        if not self.vectorized:
             return None
         for stage in self.stages:
             if stage.kind is StageKind.OPERATOR:
-                kernel = stage.compiled_kernel()
-                if kernel is not None and kernel.supports_slab:
+                if stage.compiled_kernel().supports_slab:
                     from repro.dataflow.kernels import slab_for
 
                     return slab_for(records)
@@ -345,7 +340,7 @@ class StreamPump:
         slab=None,
         base: int = 0,
     ) -> tuple[float, list[Any]]:
-        use_kernels = self.use_kernels and self.vectorized
+        vectorized = self.vectorized
         cost = 0.0
         # ``values`` is an untransformed slice of the slab's records list
         # until the first stage that returns a different list; slab-aware
@@ -355,17 +350,14 @@ class StreamPump:
             n_in = len(values)
             if stage.kind is StageKind.OPERATOR:
                 assert stage.function is not None
-                kernel = stage.compiled_kernel() if use_kernels else None
-                if kernel is not None:
+                if vectorized:
+                    kernel = stage.compiled_kernel()
                     if pristine and kernel.supports_slab:
                         outputs = kernel.call_slab(slab, base, values)
                     else:
                         outputs = kernel(values)
                     pristine = pristine and outputs is values
                     values = outputs
-                elif self.vectorized:
-                    pristine = False
-                    values = stage.function.process_batch(values)
                 else:
                     # Reference per-record loop: kept for the equivalence
                     # suite and the perf baseline, not used in production.

@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.dataflow.functions import StreamFunction
+from repro.dataflow.kernels import Kernel
 from repro.engines.common.costs import StageCosts
 
 
@@ -38,11 +39,10 @@ class PhysicalStage:
     #: Free-form annotations (e.g. which Beam transform produced the stage);
     #: used by plan rendering and the ablation benchmarks.
     tags: dict[str, str] = field(default_factory=dict)
-    #: Lazily compiled kernel, cached as a 1-tuple so "compiled to None"
-    #: (no kernel available) is distinguishable from "never compiled".
+    #: Lazily compiled kernel of an operator stage (``None`` until then).
     #: Cached on the stage so pumps recreated over the same stages (the
     #: recovery path builds one per checkpoint epoch) reuse the kernel.
-    _kernel: tuple | None = field(
+    _kernel: Kernel | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -65,30 +65,25 @@ class PhysicalStage:
         """Per-record RNG draws of the fused function (0 for source/sink)."""
         return self.function.rng_draws_per_record if self.function is not None else 0.0
 
-    def compiled_kernel(self):
-        """The stage function's lowered kernel, or ``None`` (cached).
+    def compiled_kernel(self) -> Kernel | None:
+        """The operator function's lowered kernel (cached).
 
         Lowering goes through the plan compiler
-        (:func:`repro.dataflow.compiler.lower_stage`), which picks the
-        best tier per stage — fused/stateful kernels, wire-fused decode
-        pairs, or segment-wise mixes of kernels and batch runs — instead
-        of per-operator pattern matching.
+        (:func:`repro.dataflow.compiler.lower_stage`), which lowers every
+        function — fused/stateful kernels, wire-fused decode pairs,
+        ``BatchSegment`` runs of spec-less parts, or segment-wise mixes
+        of them.  Source and sink stages have no function and no kernel.
         """
-        cached = self._kernel
-        if cached is None:
-            if self.function is None:
-                kernel = None
-            else:
-                from repro.dataflow.compiler import lower_stage
+        if self._kernel is None and self.function is not None:
+            from repro.dataflow.compiler import lower_stage
 
-                kernel = lower_stage(self.function)
-            cached = self._kernel = (kernel,)
-        return cached[0]
+            self._kernel = lower_stage(self.function)
+        return self._kernel
 
-    def cached_kernel(self):
+    def cached_kernel(self) -> Kernel | None:
         """The compiled kernel if compilation already happened, else ``None``.
 
         Lets the pump flush adopted kernel state without forcing
         compilation of stages whose kernel was never needed.
         """
-        return self._kernel[0] if self._kernel is not None else None
+        return self._kernel

@@ -64,13 +64,10 @@ import pathlib
 import tempfile
 from typing import Iterable
 
+import numpy as _np
+
 from repro.workloads import aol
 from repro.workloads.columnar import ColumnarWorkload, generate_columns
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the reference container has numpy
-    _np = None
 
 #: Set to ``0`` to disable the on-disk tier entirely.
 CACHE_ENV = "REPRO_WORKLOAD_CACHE"
@@ -251,7 +248,7 @@ class WorkloadCache:
         The returned workload keeps the mapping alive; its columns are
         zero-copy views into the page cache.
         """
-        if _np is None or num_records < 1:
+        if num_records < 1:
             return None
         path = self.columns_path(seed, num_records)
         try:

@@ -52,6 +52,8 @@ import subprocess
 import tempfile
 from array import array
 
+import numpy as np
+
 from repro.simtime.randomness import RandomSource
 from repro.workloads import aol
 
@@ -86,14 +88,9 @@ _OFF_NC = _OFF_RU + 10 * 5 * 31
 def columnar_enabled() -> bool:
     """Whether the harness should run the columnar data plane.
 
-    On by default; ``REPRO_COLUMNAR=0`` disables it, and it degrades to
-    off without NumPy (the slab layer cannot be built).
+    On by default; ``REPRO_COLUMNAR=0`` disables it.
     """
-    if os.environ.get(COLUMNAR_ENV, "1") in ("0", ""):
-        return False
-    from repro.dataflow.kernels import _np
-
-    return _np is not None
+    return os.environ.get(COLUMNAR_ENV, "1") not in ("0", "")
 
 
 def native_enabled() -> bool:
@@ -405,13 +402,6 @@ def iter_column_chunks(
 
 def _shift_starts(starts: array, offset: int) -> array:
     """A copy of ``starts`` with ``offset`` added to every element."""
-    try:
-        import numpy as np
-    except ImportError:
-        shifted = array("q", starts)
-        for index in range(len(shifted)):
-            shifted[index] += offset
-        return shifted
     shifted = array("q", bytes(8 * len(starts)))
     out = np.frombuffer(shifted, dtype=np.int64)
     np.add(np.frombuffer(starts, dtype=np.int64), offset, out=out)

@@ -179,7 +179,6 @@ class TestColumnRead:
         assert column[1:4].kv() == [r.kv() for r in records[1:4]]
 
     def test_adopted_column_has_short_key_column(self, broker, admin):
-        pytest.importorskip("numpy")  # slab columns need it
         from repro.workloads.columnar import ColumnarWorkload
 
         admin.create_topic("adopted")
@@ -193,7 +192,6 @@ class TestColumnRead:
         assert column.kv() == [(None, line) for line in lines]
 
     def test_keyed_and_adopted_partitions_mix(self, broker):
-        pytest.importorskip("numpy")  # slab columns need it
         from repro.workloads.columnar import ColumnarWorkload
 
         broker.create_topic("mixed", TopicConfig(num_partitions=2))

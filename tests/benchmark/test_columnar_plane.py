@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.beam.transforms.core import DoFn
 from repro.beam.runners.util import DoFnAdapter
 from repro.benchmark import BenchmarkConfig, StreamBenchHarness

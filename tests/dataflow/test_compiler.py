@@ -22,8 +22,6 @@ from repro.dataflow.functions import (
 )
 from repro.dataflow.kernels import ChainKernel, GrepKernel, KernelSpec
 
-np = pytest.importorskip("numpy")
-
 
 def grep_fn(needle="xx"):
     return FilterFunction(
@@ -35,19 +33,42 @@ def upper_fn():
     return MapFunction(str.upper, name="Upper")  # deliberately spec-less
 
 
-class TestLowerStage:
-    def test_none_function_lowers_to_none(self):
-        assert lower_stage(None) is None
+class _CountingUpper(MapFunction):
+    """A spec-less part that counts its ``process_batch`` calls."""
 
-    def test_specless_function_lowers_to_none(self):
-        assert lower_stage(upper_fn()) is None
+    def __init__(self):
+        super().__init__(str.upper, name="CountingUpper")
+        self.batch_calls = 0
+
+    def process_batch(self, values):
+        self.batch_calls += 1
+        return super().process_batch(values)
+
+
+class TestLowerStage:
+    def test_specless_function_lowers_to_batch_segment(self):
+        fn = upper_fn()
+        kernel = lower_stage(fn)
+        assert isinstance(kernel, BatchSegment)
+        values = ["a", "bc", ""]
+        assert kernel(values) == fn.process_batch(values)
 
     def test_single_spec_lowers_to_kernel(self):
         assert isinstance(lower_stage(grep_fn()), GrepKernel)
 
-    def test_all_specless_composition_lowers_to_none(self):
-        """Nothing to gain over the composed batch path."""
-        assert lower_stage(compose([upper_fn(), upper_fn()])) is None
+    def test_all_specless_composition_lowers_to_batch_segment(self):
+        """One segment over the whole composition, keeping its early exit:
+        a chunk the first part empties never reaches the second part."""
+        tail = _CountingUpper()
+        fn = compose([FilterFunction(lambda v: "a" in v, name="HasA"), tail])
+        kernel = lower_stage(fn)
+        assert isinstance(kernel, BatchSegment)
+        assert kernel.parts == [fn]
+        values = ["a", "bc", "ba"]
+        assert kernel(values) == fn.process_batch(values) == ["A", "BA"]
+        calls = tail.batch_calls
+        assert kernel(["x", "yz"]) == fn.process_batch(["x", "yz"]) == []
+        assert tail.batch_calls == calls
 
     def test_all_specced_composition_lowers_to_chain(self):
         rng = random.Random(1)

@@ -33,8 +33,6 @@ from repro.dataflow.kernels import (
     slab_for,
 )
 
-np = pytest.importorskip("numpy")
-
 
 def ref_grep(needle, values):
     return [v for v in values if needle in v]
@@ -588,14 +586,6 @@ class TestStatisticsKernel:
         assert out == ref_process(ref, values)
         assert fn.snapshot() == ref.snapshot()
 
-    def test_no_numpy_fallback(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_np", None)
-        fn = make_statistics()
-        out = kernels.StatisticsKernel(fn)(AOL_LIKE)
-        ref = make_statistics()
-        assert out == ref_process(ref, AOL_LIKE)
-        assert fn.snapshot() == ref.snapshot()
-
 
 class TestKeyedReduceKernel:
     def test_matches_reference(self):
@@ -894,8 +884,8 @@ class TestWindowedAggregateKernel:
             kernel([("k", float("inf"))])
 
     def test_after_count_trigger_declares_no_spec(self):
-        """AfterCount fires mid-stream; the kernel tier must refuse it and
-        leave the function on the reference/batch tiers."""
+        """AfterCount fires mid-stream; the windowed kernel must refuse it
+        and leave the function on its ``process_batch``."""
         from repro.beam.window import AfterCount
 
         fn = self.make(trigger=AfterCount(5))

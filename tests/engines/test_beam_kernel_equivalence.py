@@ -1,15 +1,15 @@
-"""Beam pipelines are bit-identical on all three pump tiers, adversarially.
+"""Beam pipelines are bit-identical on both pump tiers, adversarially.
 
 The KafkaIO read hands the runners a
 :class:`~repro.broker.records.KafkaRecordColumn`; on the kernel tier the
 read translation's Flat Map passes it through, ``withoutMetadata`` reads
 its key and value columns (``kafka_kv``) and the write's ``EnsureKV``
-runs as a generated comprehension (``ensure_kv``).  The tuple and batch
-tiers build every ``KafkaRecord`` and call the DoFns per element.  This
+runs as a generated comprehension (``ensure_kv``).  The tuple tier
+builds every ``KafkaRecord`` and calls the DoFns per element.  This
 suite feeds the Flink, Spark and Apex runners the inputs those shortcuts
 could get wrong — values that already are 2-tuples, non-``None`` keys,
 non-ASCII lines, an empty topic — and requires outputs, LogAppendTimes,
-per-operator metrics and the simulated clock to be equal on every tier.
+per-operator metrics and the simulated clock to be equal on both tiers.
 It also pins the point of the column read: on the kernel tier a Beam
 benchmark cell builds no ``ConsumerRecord`` and no ``KafkaRecord``.
 """
@@ -32,12 +32,8 @@ from repro.engines.spark import SparkCluster
 from repro.simtime import Simulator
 from repro.yarn import YarnCluster
 
-#: The three execution tiers as (vectorized, use_kernels).
-TIERS = {
-    "kernel": (True, True),
-    "batch": (True, False),
-    "tuple": (False, False),
-}
+#: The two execution tiers as their ``StreamPump.vectorized`` setting.
+TIERS = {"kernel": True, "tuple": False}
 
 UNICODE_LINES = [
     f"user{i}\t{word} {'test' if i % 3 == 0 else 'zeile'} {i}\t2006-03-01\t\t"
@@ -168,16 +164,14 @@ def test_tiers_bit_identical(
     monkeypatch, system, input_name, pipeline_name, parallelism
 ):
     observed = {}
-    for tier, (vectorized, use_kernels) in TIERS.items():
+    for tier, vectorized in TIERS.items():
         monkeypatch.setattr(StreamPump, "vectorized", vectorized)
-        monkeypatch.setattr(StreamPump, "use_kernels", use_kernels)
         observed[tier] = _run(system, input_name, pipeline_name, parallelism)
     reference = observed["tuple"]
     if input_name != "empty" and pipeline_name != "sample":
         assert reference["values"], "the case must produce output"
-    for tier in ("batch", "kernel"):
-        for field, value in reference.items():
-            assert observed[tier][field] == value, f"{field} differs on {tier}"
+    for field, value in reference.items():
+        assert observed["kernel"][field] == value, f"{field} differs on kernel"
 
 
 def test_cases_cover_the_adversarial_inputs():
@@ -215,6 +209,5 @@ def test_kernel_tier_beam_cell_builds_no_records(monkeypatch, system):
     assert built.counts == {ConsumerRecord: 0, KafkaRecord: 0}
     # The counter works: the tuple tier builds one KafkaRecord per input.
     monkeypatch.setattr(StreamPump, "vectorized", False)
-    monkeypatch.setattr(StreamPump, "use_kernels", False)
     assert runner.run_cell(cell) == runs
     assert built.counts == {ConsumerRecord: 0, KafkaRecord: 2_000}

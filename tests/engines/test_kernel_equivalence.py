@@ -1,17 +1,18 @@
-"""The compiled-kernel tier is observationally identical to both others.
+"""The compiled-kernel tier is observationally identical to the reference.
 
-``StreamPump.use_kernels = True`` (the production default) routes
-spec-declaring operators through ``repro.dataflow.kernels``.  Like the
-batch path before it, this must be a pure host-side optimisation: for
-every system × query × API combination the simulated world — run
-durations, broker-timestamp measurements, output topic contents, cost
-totals, operator metrics — has to be **bit-identical** to the batch path
-and to the per-record reference loop.  This suite runs the full
-benchmark matrix all three ways under one fixed seed (with the
+``StreamPump.vectorized = True`` (the production default) runs every
+operator stage through the kernel the plan compiler lowered it to:
+spec-declaring functions through ``repro.dataflow.kernels``, spec-less
+ones through a ``BatchSegment`` over ``process_batch``.  This must be a
+pure host-side optimisation: for every system × query × API combination
+the simulated world — run durations, broker-timestamp measurements,
+output topic contents, cost totals, operator metrics — has to be
+**bit-identical** to the per-record reference loop.  This suite runs the
+full benchmark matrix both ways under one fixed seed (with the
 workload-slab threshold lowered so the slab fast path is genuinely
-exercised), repeats the comparison under broker chaos, and
-property-tests that the sample kernel consumes the *exact same RNG
-stream* as per-record draws.
+exercised), repeats the comparison under broker chaos, checks spec-less
+user function shapes through the pump, and property-tests that the
+sample kernel consumes the *exact same RNG stream* as per-record draws.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import repro.dataflow.kernels as kernels
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.harness import StreamBenchHarness
 from repro.broker.faults import FaultPlan, NodeOutage
-from repro.dataflow.functions import FilterFunction, IdentityFunction, compose
+from repro.dataflow.functions import (
+    FilterFunction,
+    FlatMapFunction,
+    IdentityFunction,
+    MapFunction,
+    StreamFunction,
+    compose,
+)
 from repro.dataflow.kernels import KernelSpec
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
@@ -37,20 +45,22 @@ QUERIES = ("identity", "sample", "projection", "grep")
 KINDS = ("native", "beam")
 PARALLELISMS = (1, 2)
 
-#: The three execution tiers as (vectorized, use_kernels).
-TIERS = {
-    "kernel": (True, True),
-    "batch": (True, False),
-    "reference": (False, False),
-}
+#: The two execution tiers as their ``StreamPump.vectorized`` setting.
+TIERS = {"kernel": True, "reference": False}
 
 
 def _campaign() -> tuple[list, dict, float]:
     """Run the full matrix at the active tier; return (runs, outputs, now).
 
-    Mirrors ``test_batch_equivalence._campaign``: explicit ``run_setup``
-    calls on one shared world, with every cell's output topic captured
-    straight from the partition log's column storage.
+    ``outputs`` maps each (system, query, kind, parallelism) setup to the
+    output-topic values of its last executed run, read straight from the
+    partition log's column storage (no consumer, so no extra clock charges
+    that could mask a divergence).
+
+    The matrix is iterated as explicit ``run_setup`` calls on one shared
+    world (``run_matrix`` itself executes each cell in an isolated world —
+    see ``repro.benchmark.parallel`` — which would hide the master
+    harness's broker and clock from this test's introspection).
     """
     config = BenchmarkConfig(
         records=2_000,
@@ -87,15 +97,16 @@ def campaigns():
     The matrix runs 2,000 records per cell — below the production
     ``SLAB_MIN_RECORDS`` — so the threshold is dropped for the whole
     fixture to make the kernel campaign actually take the slab path
-    (the other tiers never consult it).
+    (the reference tier never consults it).  At the default threshold
+    the kernel campaign hits no kernel entry point (class, slab or
+    per-chunk call, input type) that the lowered one misses.
     """
     results = {}
     mp = pytest.MonkeyPatch()
     try:
         mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
-        for tier, (vectorized, use_kernels) in TIERS.items():
+        for tier, vectorized in TIERS.items():
             mp.setattr(StreamPump, "vectorized", vectorized)
-            mp.setattr(StreamPump, "use_kernels", use_kernels)
             results[tier] = _campaign()
     finally:
         mp.undo()
@@ -109,27 +120,23 @@ class TestFullMatrixEquivalence:
         assert len(kernel_runs) == len(SYSTEMS) * len(QUERIES) * len(KINDS) * len(
             PARALLELISMS
         ) * 2
-        assert kernel_runs == campaigns["batch"][0]
-        assert kernel_runs == campaigns["reference"][0]
+        assert kernel_runs == campaigns["reference"][0]  # exact field equality
 
     def test_output_topics_bit_identical(self, campaigns):
         """Every setup's output records match value for value, in order."""
         kernel_out = campaigns["kernel"][1]
-        for other in ("batch", "reference"):
-            other_out = campaigns[other][1]
-            assert kernel_out.keys() == other_out.keys()
-            for setup, values in kernel_out.items():
-                assert values == other_out[setup], (
-                    f"outputs diverge for {setup} (kernel vs {other})"
-                )
+        ref_out = campaigns["reference"][1]
+        assert kernel_out.keys() == ref_out.keys()
+        for setup, values in kernel_out.items():
+            assert values == ref_out[setup], f"outputs diverge for {setup}"
 
     def test_simulated_clock_bit_identical(self, campaigns):
-        """Total campaign simulated time is exactly equal across tiers."""
-        assert (
-            campaigns["kernel"][2]
-            == campaigns["batch"][2]
-            == campaigns["reference"][2]
-        )
+        """Total simulated time of the whole campaign is exactly equal.
+
+        This subsumes every cost charge along the way: a single extra or
+        reordered charge anywhere in either path would skew the final clock.
+        """
+        assert campaigns["kernel"][2] == campaigns["reference"][2]
 
 
 class TestChaosEquivalence:
@@ -162,9 +169,8 @@ class TestChaosEquivalence:
         mp = pytest.MonkeyPatch()
         try:
             mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
-            for tier, (vectorized, use_kernels) in TIERS.items():
+            for tier, vectorized in TIERS.items():
                 mp.setattr(StreamPump, "vectorized", vectorized)
-                mp.setattr(StreamPump, "use_kernels", use_kernels)
                 harness = StreamBenchHarness(config, chaos=plan)
                 reports[tier] = harness.run_matrix(parallel=False)
         finally:
@@ -173,12 +179,106 @@ class TestChaosEquivalence:
 
     def test_chaos_reports_equal_per_field(self, chaos_reports):
         assert chaos_reports["kernel"].runs == chaos_reports["reference"].runs
-        assert chaos_reports["kernel"] == chaos_reports["batch"]
         assert chaos_reports["kernel"] == chaos_reports["reference"]
 
     def test_chaos_actually_bit(self, chaos_reports):
         """The fault plan fired (the equality above is not vacuous)."""
         assert chaos_reports["kernel"].sender_report.retries > 0
+
+
+# ---------------------------------------------------------------------------
+# Spec-less user functions on the production path
+
+
+class _StatefulDedup(StreamFunction):
+    """A user subclass with state and no process_batch override."""
+
+    name = "Dedup"
+
+    def __init__(self) -> None:
+        self.seen: set = set()
+
+    def process(self, value):
+        if value in self.seen:
+            return ()
+        self.seen.add(value)
+        return (value,)
+
+
+class _RngSampler(StreamFunction):
+    """A user subclass drawing per-record randomness (order-sensitive)."""
+
+    name = "RngSampler"
+    rng_draws_per_record = 1.0
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+
+    def process(self, value):
+        return (value,) if self.rng.random() < 0.5 else ()
+
+
+def _pump_once(function: StreamFunction, records: list, tier: str):
+    pump = StreamPump(
+        simulator=Simulator(seed=11),
+        stages=[
+            PhysicalStage("source", StageKind.SOURCE, StageCosts(per_record_in=1e-6)),
+            PhysicalStage(
+                "op",
+                StageKind.OPERATOR,
+                StageCosts(per_weight=1e-6, per_rng_draw=1e-6),
+                function=function,
+            ),
+            PhysicalStage("sink", StageKind.SINK, StageCosts(per_record_out=1e-6)),
+        ],
+        variance=RunVariance(),
+        rng=random.Random(11),
+        chunk_size=7,  # deliberately awkward: chunks straddle everything
+    )
+    pump.vectorized = TIERS[tier]
+    outputs: list = []
+    pump.emit = outputs.extend
+    result = pump.run(records)
+    return result, outputs
+
+
+@pytest.mark.parametrize(
+    "make_function",
+    [
+        pytest.param(lambda: IdentityFunction(), id="identity"),
+        pytest.param(lambda: MapFunction(str.upper), id="map"),
+        pytest.param(lambda: FilterFunction(lambda v: "3" in v), id="filter"),
+        pytest.param(
+            lambda: FlatMapFunction(lambda v: v.split("-")), id="flatmap"
+        ),
+        pytest.param(
+            lambda: compose(
+                [
+                    FlatMapFunction(lambda v: v.split("-")),
+                    FilterFunction(lambda v: v != "x"),
+                    MapFunction(str.upper),
+                ]
+            ),
+            id="composed",
+        ),
+        pytest.param(lambda: _StatefulDedup(), id="stateful-fallback"),
+        pytest.param(lambda: _RngSampler(random.Random(5)), id="rng-fallback"),
+    ],
+)
+def test_function_shapes_equivalent(make_function):
+    """Each function shape produces identical outputs, costs and metrics.
+
+    All but ``identity`` are spec-less, so the kernel tier runs each
+    through a ``BatchSegment`` over its ``process_batch``.
+    """
+    records = [f"r{i}-x-{i % 13}" for i in range(100)]
+    kernel_result, kernel_out = _pump_once(make_function(), records, "kernel")
+    ref_result, ref_out = _pump_once(make_function(), records, "reference")
+    assert kernel_out == ref_out
+    assert kernel_result.records_out == ref_result.records_out
+    assert kernel_result.base_duration == ref_result.base_duration
+    assert kernel_result.duration == ref_result.duration
+    assert kernel_result.metrics == ref_result.metrics
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +298,6 @@ def _pump_sample(
     records: list, seed: int, fraction: float, tier: str
 ) -> tuple[list, object, object]:
     """Run a sample pipeline at ``tier``; return (outputs, rng state, result)."""
-    vectorized, use_kernels = TIERS[tier]
     function = _sample_function(seed, fraction)
     function.open()
     pump = StreamPump(
@@ -214,8 +313,7 @@ def _pump_sample(
         rng=random.Random(3),
         chunk_size=17,  # deliberately awkward chunk boundaries
     )
-    pump.vectorized = vectorized
-    pump.use_kernels = use_kernels
+    pump.vectorized = TIERS[tier]
     outputs: list = []
     pump.emit = outputs.extend
     result = pump.run(records)
@@ -234,18 +332,17 @@ def _pump_sample(
 def test_sample_draws_identical_rng_stream(seed, fraction, count):
     """The mask kernel consumes the exact per-record Bernoulli stream.
 
-    For any seed, fraction and input size, all three tiers must select
-    the same records AND leave the Python RNG in the same state — i.e.
-    the transplanted MT19937 advanced draw-for-draw identically.
+    For any seed, fraction and input size, both tiers must select the
+    same records AND leave the Python RNG in the same state — i.e. the
+    transplanted MT19937 advanced draw-for-draw identically.
     """
     records = [f"rec-{i}" for i in range(count)]
     out_ref, state_ref, result_ref = _pump_sample(records, seed, fraction, "reference")
-    for tier in ("batch", "kernel"):
-        outputs, state, result = _pump_sample(records, seed, fraction, tier)
-        assert outputs == out_ref
-        assert state == state_ref
-        assert result.records_out == result_ref.records_out
-        assert result.duration == result_ref.duration
+    outputs, state, result = _pump_sample(records, seed, fraction, "kernel")
+    assert outputs == out_ref
+    assert state == state_ref
+    assert result.records_out == result_ref.records_out
+    assert result.duration == result_ref.duration
 
 
 def test_sample_rng_state_continues_across_runs():
@@ -253,7 +350,6 @@ def test_sample_rng_state_continues_across_runs():
     records = [f"rec-{i}" for i in range(100)]
 
     def two_runs(tier: str):
-        vectorized, use_kernels = TIERS[tier]
         function = _sample_function(99, 0.4)
         function.open()
         picked = []
@@ -271,8 +367,7 @@ def test_sample_rng_state_continues_across_runs():
                 variance=RunVariance(),
                 rng=random.Random(3),
             )
-            pump.vectorized = vectorized
-            pump.use_kernels = use_kernels
+            pump.vectorized = TIERS[tier]
             pump.emit = picked.extend
             pump.run(records)
         function.close()
@@ -308,15 +403,13 @@ def _grep_stages(function=None):
 
 
 def _pump_stages(stages, records, tier="kernel"):
-    vectorized, use_kernels = TIERS[tier]
     pump = StreamPump(
         simulator=Simulator(seed=3),
         stages=stages,
         variance=RunVariance(),
         rng=random.Random(3),
     )
-    pump.vectorized = vectorized
-    pump.use_kernels = use_kernels
+    pump.vectorized = TIERS[tier]
     outputs: list = []
     pump.emit = outputs.extend
     result = pump.run(records)

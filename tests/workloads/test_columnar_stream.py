@@ -19,6 +19,7 @@ from array import array
 import pytest
 
 from repro.broker.log import PartitionLog
+from repro.dataflow import kernels
 from repro.simtime import SimClock
 from repro.workloads import columnar
 from repro.workloads.columnar import generate_columns, iter_column_chunks
@@ -106,12 +107,9 @@ def bounded_log():
 
 
 def chunk_column(num_records: int, seed: int = 2006):
-    """One generated chunk wrapped as a SlabColumn (skips without numpy)."""
-    kernels = pytest.importorskip("repro.dataflow.kernels")
+    """One generated chunk wrapped as a SlabColumn."""
     data, starts = generate_columns(num_records, seed)
-    slab = kernels.slab_from_columns(data, starts)
-    assert slab is not None
-    return kernels.SlabColumn(slab)
+    return kernels.SlabColumn(kernels.slab_from_columns(data, starts))
 
 
 class TestTrimmedLogReAdoption:
