@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator
+
+import numpy as np
 
 from repro.benchmark import stats
 from repro.benchmark.config import BenchmarkConfig
@@ -76,6 +77,9 @@ _COST_MODELS = {
 
 #: Topic the capacity probes offer load into (bounded partition).
 CAPACITY_TOPIC = "capacity-input"
+
+#: Latency percentiles every probe reports (p50, p95, p99).
+_LATENCY_QUANTILES = (50, 95, 99)
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,6 +408,14 @@ def run_probe(
     shard's cost per chunk.  At P = 1 the probe takes exactly the serial
     path (same RNG stream names, same pump), so existing capacity
     results are unchanged.
+
+    The drain is columnar: each polled chunk writes its event- and
+    processing-time latencies into preallocated float64 arrays, and each
+    series is sorted once for its percentiles.  Chunks step through the
+    stages without a kernel flush; every pump is flushed exactly once
+    when the probe ends, stalled or not — nothing observes the probe's
+    private RNG streams in between, so the results are bit-identical to
+    a per-chunk flush.
     """
     settings = config.capacity
     if parallelism is None:
@@ -465,17 +477,20 @@ def run_probe(
     started = simulator.now()
     # Per-record nominal arrival instants for event-time latency: a batch's
     # offset is when its *last* record has arrived, so records interpolate
-    # linearly from the previous batch's offset up to it.
-    arrivals = array("d")
+    # linearly from the previous batch's offset up to it.  Each element is
+    # ``base + step * (i + 1)``, the same two IEEE operations per record.
+    arrivals = np.empty(total, dtype=np.float64)
     prev = 0.0
+    filled = 0
     for count, offset in batches:
         step = (offset - prev) / count
         base = started + prev
-        arrivals.extend(base + step * (i + 1) for i in range(count))
+        arrivals[filled : filled + count] = np.arange(1, count + 1) * step + base
+        filled += count
         prev = offset
 
-    event_lat = array("d")
-    proc_lat = array("d")
+    event_lat = np.empty(total, dtype=np.float64)
+    proc_lat = np.empty(total, dtype=np.float64)
     consumed = 0
 
     def drain() -> int:
@@ -485,17 +500,18 @@ def run_probe(
         )
         if not values:
             return 0
+        # No per-chunk flush: the finally below flushes once per probe.
         if sharded is None:
-            cost, _outputs = pump._process_chunk(values, metrics)
+            cost, _outputs = pump._run_stages(values, metrics, 0)
         else:
             cost, _outputs = sharded.process_chunk(values)
         simulator.charge(cost)
         consumer.acknowledge()
         done = simulator.now()
-        for index in range(len(values)):
-            event_lat.append(done - arrivals[consumed + index])
-            proc_lat.append(done - stamps[index])
-        consumed += len(values)
+        stop = consumed + len(values)
+        np.subtract(done, arrivals[consumed:stop], out=event_lat[consumed:stop])
+        np.subtract(done, np.frombuffer(stamps), out=proc_lat[consumed:stop])
+        consumed = stop
         if sharded is not None:
             sharded.observe(done, backlog=log.queue_depth())
         return len(values)
@@ -513,22 +529,34 @@ def run_probe(
             tier=pump.tier,
         ),
     )
-    report = generator.run(records, drain=drain)
-    # Completion phase: drain whatever the offer window left queued.
-    while log.queue_depth() > 0:
-        if not drain():
-            raise PumpStalledError(
-                queue_depth=log.queue_depth(),
-                last_offset=consumed,
-                tier=pump.tier,
-                stalled_for=0.0,
-                stall_timeout=settings.stall_timeout,
-            )
+    try:
+        report = generator.run(records, drain=drain)
+        # Completion phase: drain whatever the offer window left queued.
+        while log.queue_depth() > 0:
+            if not drain():
+                raise PumpStalledError(
+                    queue_depth=log.queue_depth(),
+                    last_offset=consumed,
+                    tier=pump.tier,
+                    stalled_for=0.0,
+                    stall_timeout=settings.stall_timeout,
+                )
+    finally:
+        if sharded is None:
+            pump._flush_kernels()
+        else:
+            sharded.flush()
     elapsed = simulator.now() - started
     offer_window = total / rate
     sustainable = (
         report.records_shed == 0
         and elapsed <= offer_window * (1.0 + settings.grace)
+    )
+    event_p50, event_p95, event_p99 = stats.percentiles(
+        event_lat[:consumed], _LATENCY_QUANTILES
+    )
+    proc_p50, proc_p95, proc_p99 = stats.percentiles(
+        proc_lat[:consumed], _LATENCY_QUANTILES
     )
     return ProbeResult(
         rate=rate,
@@ -540,12 +568,12 @@ def run_probe(
         max_queue_depth=report.max_queue_depth,
         offer_window=offer_window,
         elapsed=elapsed,
-        event_p50=stats.percentile(event_lat, 50),
-        event_p95=stats.percentile(event_lat, 95),
-        event_p99=stats.percentile(event_lat, 99),
-        proc_p50=stats.percentile(proc_lat, 50),
-        proc_p95=stats.percentile(proc_lat, 95),
-        proc_p99=stats.percentile(proc_lat, 99),
+        event_p50=event_p50,
+        event_p95=event_p95,
+        event_p99=event_p99,
+        proc_p50=proc_p50,
+        proc_p95=proc_p95,
+        proc_p99=proc_p99,
         shard_costs=(
             tuple(sharded.shard_costs) if sharded is not None else ()
         ),

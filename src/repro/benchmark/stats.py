@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; raises on empty input."""
@@ -57,13 +59,34 @@ def percentile(values: Sequence[float], q: float) -> float:
     same sample multiset is supplied — the property the capacity report's
     serial-vs-parallel equality check relies on.
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q}")
     ordered = sorted(values)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
+
+
+def percentiles(values: Sequence[float], qs: Iterable[float]) -> list[float]:
+    """Nearest-rank percentiles for every ``q`` in ``qs``, sorting once.
+
+    Returns ``[percentile(values, q) for q in qs]`` for any float list,
+    ``array('d')`` or float64 array: a stable float64 sort orders equal
+    values as :func:`sorted` does, and nearest rank picks an observed
+    value, so the results are bit-identical.
+    """
+    if len(values) == 0:
+        raise ValueError("percentile of empty sequence")
+    qs = tuple(qs)
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"q must be in [0, 100], got {q}")
+    ordered = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+    count = len(ordered)
+    return [
+        float(ordered[max(1, math.ceil(q / 100.0 * count)) - 1]) for q in qs
+    ]
 
 
 def slowdown_factor(

@@ -25,10 +25,16 @@ deterministically:
   ``max(shard_costs)`` and the mean is simulated time lost to the
   slowest shard.
 
-Host-side, the per-shard ``_process_chunk`` calls run one after another
-on the calling thread (:func:`repro.dataflow.sharding.run_shard_tasks`):
-parallelism is simulated, so results stay bit-identical at any P on any
-host and no helper thread is ever started.
+Host-side, the per-shard stage runs go one after another on the calling
+thread (:func:`repro.dataflow.sharding.run_shard_tasks`): parallelism is
+simulated, so results stay bit-identical at any P on any host and no
+helper thread is ever started.
+
+Like :meth:`StreamPump.run <repro.engines.common.pump.StreamPump.run>`,
+the pool leaves kernel state adopted across chunks (the ``sample``
+kernel's RNG lives in NumPy between draws): the owner calls
+:meth:`ShardedPump.flush` once it is done stepping chunks, before anything
+observes the shards' RNG streams.
 """
 
 from __future__ import annotations
@@ -72,9 +78,10 @@ class ShardedPump:
 
         Returns ``(cost, outputs)`` where ``cost`` is the straggler
         shard's simulated cost and ``outputs`` the concatenated sink
-        records in record order.  The caller charges the simulator —
-        exactly the :meth:`StreamPump._process_chunk` contract, so a
-        1-shard pool is bit-identical to the plain serial drain.
+        records in record order.  The caller charges the simulator, so a
+        1-shard pool is bit-identical to the plain serial drain.  Unlike
+        the recovery path's chunk step, no kernel state is flushed per
+        chunk: the caller calls :meth:`flush` when it is done.
         """
         spans = shard_spans(len(values), self.parallelism)
         tasks = []
@@ -85,8 +92,8 @@ class ShardedPump:
             active.append(shard)
             self._consumed[shard] += stop - start
             tasks.append(
-                lambda s=shard, a=start, b=stop: self.pumps[s]._process_chunk(
-                    values[a:b], self.metrics[s]
+                lambda s=shard, a=start, b=stop: self.pumps[s]._run_stages(
+                    values[a:b], self.metrics[s], 0
                 )
             )
         results = run_shard_tasks(tasks)
@@ -98,6 +105,15 @@ class ShardedPump:
                 cost = shard_cost
             outputs.extend(shard_outputs)
         return cost, outputs
+
+    def flush(self) -> None:
+        """Return every shard's adopted kernel state (RNG) to its owner.
+
+        Idempotent; after it each shard's Python RNG stands exactly where
+        per-record draws would have left it.
+        """
+        for pump in self.pumps:
+            pump._flush_kernels()
 
     def observe(self, now: float, backlog: int = 0) -> None:
         """Record one post-chunk lag sample per shard (pinned order).

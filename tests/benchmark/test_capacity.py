@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchmark import capacity
 from repro.benchmark.capacity import (
     CapacityRunner,
     estimate_service_rate,
@@ -214,6 +215,52 @@ class TestParallelProbes:
             cfg, "apex", "sample", 100_000.0, columnar=False, parallelism=2
         )
         assert a == b
+
+    @pytest.mark.parametrize("parallelism", (1, 2))
+    def test_stalled_probe_leaves_no_adopted_kernel_state(
+        self, monkeypatch, parallelism
+    ):
+        # The drain's poll goes dry after a few chunks, so the probe ends
+        # in PumpStalledError; its finally must still flush every pump.
+        from repro.broker.consumer import Consumer
+        from repro.dataflow.kernels import SampleKernel
+        from repro.engines.common.progress import PumpStalledError
+
+        pumps = []
+
+        class RecordingPump(StreamPump):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pumps.append(self)
+
+        polls = []
+        real_poll = Consumer.poll_values
+
+        def drying_poll(self, *args, **kwargs):
+            polls.append(None)
+            if len(polls) > 3:
+                return [], None
+            return real_poll(self, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "StreamPump", RecordingPump)
+        monkeypatch.setattr(Consumer, "poll_values", drying_poll)
+        with pytest.raises(PumpStalledError):
+            run_probe(
+                config(),
+                "apex",
+                "sample",
+                100_000.0,
+                columnar=False,
+                parallelism=parallelism,
+            )
+        kernels = [
+            kernel
+            for pump in pumps
+            for kernel in (stage.cached_kernel() for stage in pump.stages)
+            if isinstance(kernel, SampleKernel)
+        ]
+        assert len(kernels) == parallelism
+        assert all(kernel._state is None for kernel in kernels)
 
     def test_parallelism_one_matches_legacy_path(self):
         # P=1 goes through the exact serial pump with the old stream

@@ -1,7 +1,9 @@
 """Tests for the paper's statistics formulas."""
 
 import math
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,3 +101,51 @@ class TestProperties:
     def test_slowdown_scales_linearly_with_beam_times(self, native, factor):
         beam_means = {p: v * factor for p, v in native.items()}
         assert stats.slowdown_factor(beam_means, native) == pytest.approx(factor)
+
+
+#: Latency-like samples: negatives, both zeros and forced duplicates.
+_samples = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1.0, 3.25]),
+)
+_containers = {
+    "list": list,
+    "array": lambda values: array("d", values),
+    "ndarray": lambda values: np.array(values, dtype=np.float64),
+}
+
+
+class TestPercentiles:
+    """``percentiles`` sorts once but must equal per-``q`` ``percentile``."""
+
+    @given(
+        st.lists(_samples, min_size=1, max_size=60),
+        st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=8),
+        st.sampled_from(sorted(_containers)),
+    )
+    def test_matches_percentile_bit_for_bit(self, values, qs, container):
+        values = _containers[container](values)
+        qs = [0.0, 100.0, *qs]
+        expected = [stats.percentile(values, q) for q in qs]
+        got = stats.percentiles(values, qs)
+        assert [float(v).hex() for v in expected] == [v.hex() for v in got]
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("container", sorted(_containers))
+    def test_empty_input_raises_like_percentile(self, container):
+        empty = _containers[container]([])
+        with pytest.raises(ValueError, match="empty") as single:
+            stats.percentile(empty, 50)
+        with pytest.raises(ValueError, match="empty") as batch:
+            stats.percentiles(empty, (50,))
+        assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize("q", (-0.5, 100.5))
+    @pytest.mark.parametrize("container", sorted(_containers))
+    def test_q_out_of_range_raises_like_percentile(self, q, container):
+        values = _containers[container]([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="q must be") as single:
+            stats.percentile(values, q)
+        with pytest.raises(ValueError, match="q must be") as batch:
+            stats.percentiles(values, (50, q))
+        assert str(batch.value) == str(single.value)
