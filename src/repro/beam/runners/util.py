@@ -6,7 +6,8 @@ from typing import Any, Iterable, Sequence
 
 from repro.beam.transforms.core import DoFn
 from repro.dataflow.functions import MapFunction, StreamFunction
-from repro.dataflow.kernels import KernelSpec, compile_function
+from repro.dataflow.compiler import lower_stage
+from repro.dataflow.kernels import KernelSpec
 
 
 class DoFnAdapter(StreamFunction):
@@ -169,6 +170,6 @@ def extract_kv_value(element: Any) -> Any:
 #: :func:`extract_kv_value` over a whole chunk, as the compiled
 #: ``kv_value`` comprehension (the Flink and Apex Beam sinks write
 #: through it).
-extract_kv_values = compile_function(
+extract_kv_values = lower_stage(
     MapFunction(extract_kv_value, kernel_spec=KernelSpec.kv_value())
 )

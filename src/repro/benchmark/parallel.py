@@ -27,12 +27,13 @@ cell worlds in-process, serial and parallel reports are **bit-identical**
 
 Workers do not receive the workload over the wire: the parent pre-seeds
 the on-disk workload cache (:mod:`repro.workloads.cache`) before fanning
-out, so forked workers inherit the in-process memo and spawned workers
-load the cached file instead of regenerating.
+out, and the pool always forks, so workers inherit the in-process memo
+instead of regenerating.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,8 +43,7 @@ from typing import TYPE_CHECKING
 from repro.benchmark.config import BenchmarkConfig
 from repro.broker.faults import FaultPlan
 from repro.broker.retry import RetryPolicy
-from repro.workloads.cache import ensure_columns_cached, ensure_disk_cached
-from repro.workloads.columnar import columnar_enabled
+from repro.workloads.cache import ensure_columns_cached
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.benchmark.harness import BenchmarkReport, RunRecord
@@ -140,7 +140,10 @@ class MatrixRunner:
             warmup = StreamBenchHarness(
                 self.config, chaos=self.chaos, retry_policy=self.retry_policy
             )
-            sender_report = warmup.ingest()
+            try:
+                sender_report = warmup.ingest()
+            finally:
+                warmup.close()
         report = BenchmarkReport(config=self.config, sender_report=sender_report)
         cells = self.cells()
         if not cells:
@@ -148,19 +151,17 @@ class MatrixRunner:
         if parallel:
             # Warm the disk tier so workers load instead of regenerating
             # (forked workers additionally inherit the in-process memo,
-            # which ``sender_report`` ingestion just populated).  The
-            # active data plane decides which layout the workers will ask
-            # for: columnar workers mmap the column entry.
-            if columnar_enabled():
-                ensure_columns_cached(self.config.records, self.config.seed)
-            else:
-                ensure_disk_cached(self.config.records, self.config.seed)
+            # which ``sender_report`` ingestion just populated).
+            ensure_columns_cached(self.config.records, self.config.seed)
             count = workers if workers is not None else self.workers
             if count is None:
                 count = default_workers()
             if count < 1:
                 raise ValueError(f"workers must be >= 1, got {count}")
-            with ProcessPoolExecutor(max_workers=min(count, len(cells))) as pool:
+            with ProcessPoolExecutor(
+                max_workers=min(count, len(cells)),
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
                 per_cell = list(
                     pool.map(
                         _execute_cell,

@@ -66,7 +66,7 @@ class ResultCalculator:
         The measurement is fully columnar: each partition's bounds come
         off its ``array('d')`` timestamp column in one guarded
         :meth:`~repro.broker.log.PartitionLog.timestamp_bounds` read — no
-        result record is ever materialised, whichever data plane produced
+        result record is ever materialised, whichever log storage holds
         the topic.
         """
         topic_obj = self.cluster.topic(topic)

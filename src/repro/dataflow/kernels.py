@@ -29,16 +29,15 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
 - ``column`` (projection): ``v.partition(sep)[0]`` per line — exact by
   construction for column 0 (``partition`` and ``split`` agree on the
   prefix before the first separator, including separator-free lines).
-- **workload slabs**: a run over a large immutable records list scans a
-  shared :class:`WorkloadSlab` — the list joined and encoded once, with a
-  line-start offset column — instead of re-joining every chunk.  Grep
-  becomes one vectorized scan per run emitting the *original* record
-  objects; projection becomes one fixed-width NumPy gather per run when
-  every line has the separator at the same verified offset.  Slabs cache
-  per list identity (the broker's column lists and the workload cache
-  both hand out one long-lived list), so the join/encode cost amortizes
-  across runs and matrix cells.  Kernel-side slab state lives only
-  between :meth:`Kernel.flush` calls — nothing computed from a slab
+- **workload slabs**: a run over the ingested workload scans its shared
+  :class:`WorkloadSlab` — the generated (or ``mmap``-loaded) byte column
+  with a line-start offset column — instead of joining every chunk.  The
+  broker's adopted :class:`SlabColumn` carries the slab to the pump, so
+  nothing is built or re-packed per run.  Grep becomes one vectorized
+  scan per run emitting the workload's record strings; projection
+  becomes one fixed-width NumPy gather per run when every line has the
+  separator at the same verified offset.  Kernel-side slab state lives
+  only between :meth:`Kernel.flush` calls — nothing computed from a slab
   outlives the run that computed it.
 - ``bernoulli`` (sample): a pre-drawn Bernoulli mask.  The seeded
   ``random.Random`` state is transplanted into a NumPy ``RandomState``
@@ -106,10 +105,6 @@ import numpy as _np
 _NL = 10  # ord("\n")
 _MIN_BULK = 32  # below this, comprehension fallbacks win
 
-#: Smallest records list worth turning into a shared slab: below this the
-#: join/encode build cost exceeds what per-chunk kernels would spend.
-SLAB_MIN_RECORDS = 4096
-
 
 # ---------------------------------------------------------------------------
 # Workload slabs
@@ -126,19 +121,18 @@ class WorkloadSlab:
     equal character offsets and slices of ``text`` are bit-identical to
     the original records.
 
-    A slab is built either *from* a records list (:func:`_build_slab` —
-    join and encode once) or *as* the primary representation
-    (:func:`slab_from_columns` — the columnar data plane's generated or
-    ``mmap``-loaded byte columns).  In the latter case ``records`` starts
-    as ``None`` and the decoded list materialises lazily, at most once,
-    via :class:`SlabColumn`; ``text`` likewise decodes on first access.
+    Slabs are built by :func:`slab_from_columns` over the columnar data
+    plane's generated or ``mmap``-loaded byte columns.  ``records``
+    starts as ``None`` and the decoded list materialises lazily, at most
+    once, via :class:`SlabColumn`; ``text`` likewise decodes on first
+    access.
     """
 
     __slots__ = ("records", "_text", "data", "arr", "starts", "size")
 
-    def __init__(self, records, text, data, arr, starts) -> None:
-        self.records = records
-        self._text = text
+    def __init__(self, data, arr, starts) -> None:
+        self.records = None
+        self._text = None
         self.data = data
         self.arr = arr
         self.starts = starts
@@ -146,28 +140,10 @@ class WorkloadSlab:
 
     @property
     def text(self) -> str:
-        """The decoded blob (lazy for column-built slabs)."""
+        """The decoded blob (lazy)."""
         if self._text is None:
             self._text = str(self.data, "ascii")
         return self._text
-
-
-def _build_slab(records: list) -> WorkloadSlab | None:
-    try:
-        text = "\n".join(records)
-    except TypeError:  # non-str records: no slab, kernels fall back
-        return None
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    arr = _np.frombuffer(data, _np.uint8)
-    newlines = _np.flatnonzero(arr == _NL)
-    if len(newlines) != len(records) - 1:
-        return None  # some record embeds a newline: offsets are ambiguous
-    starts = _np.empty(len(records), _np.int64)
-    starts[0] = 0
-    starts[1:] = newlines + 1
-    return WorkloadSlab(records, text, data, arr, starts)
 
 
 def slab_from_columns(data, starts) -> WorkloadSlab:
@@ -184,7 +160,7 @@ def slab_from_columns(data, starts) -> WorkloadSlab:
     arr = _np.frombuffer(data, _np.uint8)
     if not isinstance(starts, _np.ndarray):
         starts = _np.frombuffer(starts, _np.int64)
-    return WorkloadSlab(None, None, data, arr, starts)
+    return WorkloadSlab(data, arr, starts)
 
 
 class SlabColumn:
@@ -199,10 +175,10 @@ class SlabColumn:
 
     Decoding happens at most once per slab: any bulk access (iteration,
     slicing) materialises the full decoded list into ``slab.records`` —
-    shared by every window, exactly like the object plane's single cached
-    workload list — while single-record indexing decodes just that line
-    until the shared list exists.  Windows must be treated as immutable,
-    the same repo-wide contract cached record lists already carry.
+    shared by every window — while single-record indexing decodes just
+    that line until the shared list exists.  Windows must be treated as
+    immutable, the same repo-wide contract cached record lists already
+    carry.
     """
 
     __slots__ = ("slab", "start", "stop")
@@ -259,7 +235,7 @@ class SlabColumn:
 
 
 class ChunkView:
-    """A zero-copy window over a slab's records list (one pump chunk).
+    """A zero-copy window over a slab-backed batch (one pump chunk).
 
     Stands in for ``records[start:stop]`` on the slab path, so the pump
     does not copy every record reference into per-chunk lists just to
@@ -294,42 +270,18 @@ class ChunkView:
         return self._records[self._start + index]
 
 
-#: Slab memo keyed by list identity: ``id -> (records, slab_or_None, len)``.
-#: The strong reference to ``records`` makes the id stable (no reuse while
-#: cached); the stored length detects list growth between runs.  Failed
-#: builds memoize ``None`` so ineligible workloads are not re-joined every
-#: run.  Entries beyond the cap evict oldest-first.
-_SLAB_CACHE: dict[int, tuple[list, WorkloadSlab | None, int]] = {}
-_SLAB_CACHE_MAX = 2
-
-
 def slab_for(records: Any) -> WorkloadSlab | None:
-    """The shared slab for ``records``, building and caching on first use.
-
-    Only plain lists of at least :data:`SLAB_MIN_RECORDS` records qualify.
-    Callers must treat cached lists as immutable (the repo-wide contract
-    for workload and broker column lists); in-place element replacement is
-    not detectable.
+    """The shared slab behind ``records``, or ``None``.
 
     A :class:`SlabColumn` carries its slab with it: a slab-origin window
-    (the broker's adopted value column) is recognised directly — no cache
-    lookup, no build — when it spans the slab from row 0, which is the
-    shape the pump's pristine-chunk tracking requires (chunk row ``base``
-    equals slab row).
+    (the broker's adopted value column) is recognised directly when it
+    spans the slab from row 0, which is the shape the pump's
+    pristine-chunk tracking requires (chunk row ``base`` equals slab
+    row).  Anything else — plain lists included — has no slab.
     """
-    if type(records) is SlabColumn:
-        return records.slab if records.start == 0 else None
-    if type(records) is not list or len(records) < SLAB_MIN_RECORDS:
-        return None
-    key = id(records)
-    entry = _SLAB_CACHE.get(key)
-    if entry is not None and entry[0] is records and entry[2] == len(records):
-        return entry[1]
-    slab = _build_slab(records)
-    while len(_SLAB_CACHE) >= _SLAB_CACHE_MAX:
-        _SLAB_CACHE.pop(next(iter(_SLAB_CACHE)))
-    _SLAB_CACHE[key] = (records, slab, len(records))
-    return slab
+    if type(records) is SlabColumn and records.start == 0:
+        return records.slab
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +445,7 @@ class Kernel:
 
     #: Whether :meth:`call_slab` beats :meth:`__call__` for this kernel.
     #: The pump uses the slab path only for chunks that are untransformed
-    #: slices of the slab's records list.
+    #: windows of the slab's rows.
     supports_slab: bool = False
 
     def __call__(self, values: Sequence[Any]) -> list:
@@ -548,9 +500,8 @@ class GrepKernel(Kernel):
     The first two needle bytes are compared as aligned little-endian
     ``uint16`` lanes at both phases (covering every byte offset); the
     remaining needle bytes are checked by sparse gathers at the candidate
-    positions only.  With a slab, the whole records list is scanned once
-    per run and matches are served per chunk as the *original* record
-    objects.
+    positions only.  With a slab, the whole slab is scanned once per run
+    and matches are served per chunk as the chunk's own record strings.
     """
 
     def __init__(self, needle: str) -> None:
@@ -1537,24 +1488,3 @@ def _build_chain(specs: list) -> Kernel:
     if len(ops) == 1:
         return ops[0]
     return ChainKernel(ops)
-
-
-def compile_function(function: Any) -> Kernel | None:
-    """Compile a :class:`StreamFunction` into a kernel, or ``None``.
-
-    ``ComposedFunction`` chains compile only when *every* part declares a
-    spec; anything unspecced returns ``None``.  (Stage lowering goes
-    through :func:`repro.dataflow.compiler.lower_stage`, which never
-    returns ``None``.)
-    """
-    from repro.dataflow.functions import ComposedFunction
-
-    if isinstance(function, ComposedFunction):
-        specs = [getattr(part, "kernel_spec", None) for part in function.parts]
-        if not specs or any(spec is None for spec in specs):
-            return None
-        return _build_chain(specs)
-    spec = getattr(function, "kernel_spec", None)
-    if spec is None:
-        return None
-    return _build_chain([spec])

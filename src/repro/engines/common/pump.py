@@ -313,14 +313,12 @@ class StreamPump:
     def _workload_slab(self, records: Sequence[Any]):
         """The shared slab for this run's records, if any kernel wants one.
 
-        Only consulted on the kernel tier.  The slab build amortizes
-        across runs (and matrix cells) because broker column lists and
-        the workload cache hand the pump the same list object each time.
-        On the columnar data plane no build happens at all: the broker's
-        zero-copy read hands the pump an adopted
+        Only consulted on the kernel tier.  No slab is ever built here:
+        the broker's zero-copy read hands the pump an adopted
         :class:`~repro.dataflow.kernels.SlabColumn`, which *carries* its
         slab — the generated byte columns flow into the kernels without a
-        single record object or re-pack in between.
+        single record object or re-pack in between.  Plain record lists
+        have no slab.
         """
         if not self.vectorized:
             return None

@@ -12,7 +12,11 @@ from repro.workloads.aol import (
     iter_record_chunks,
     parse_record,
 )
-from repro.workloads.cache import WorkloadCache, ensure_disk_cached, load_workload
+from repro.workloads.cache import (
+    WorkloadCache,
+    ensure_columns_cached,
+    load_columnar_workload,
+)
 
 __all__ = [
     "nexmark",
@@ -23,10 +27,10 @@ __all__ = [
     "GENERATOR_VERSION",
     "GREP_NEEDLE",
     "WorkloadCache",
-    "ensure_disk_cached",
+    "ensure_columns_cached",
     "expected_grep_matches",
     "generate_records",
     "iter_record_chunks",
-    "load_workload",
+    "load_columnar_workload",
     "parse_record",
 ]

@@ -35,10 +35,9 @@ How it stays bit-identical *and* fast:
   :func:`repro.workloads.aol.iter_record_chunks` — same bytes, reference
   speed.
 
-``REPRO_COLUMNAR=0`` turns the whole columnar plane off (the benchmark
-harness then ingests materialised record lists exactly as before); the
-campaign results are bit-identical either way, which
-``tests/benchmark/test_columnar_plane.py`` proves over the full grid.
+The columns are the only production data plane: the harness, the
+capacity probes and the workload cache all carry the workload in this
+layout, and record strings materialise lazily from it.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ import numpy as np
 from repro.simtime.randomness import RandomSource
 from repro.workloads import aol
 
-#: Set to ``0`` to disable the columnar data plane (harness-level switch).
-COLUMNAR_ENV = "REPRO_COLUMNAR"
 #: Set to ``0`` to disable the compiled C generator (pure-Python fallback).
 NATIVE_ENV = "REPRO_NATIVE"
 #: Overrides the directory holding compiled native helpers.
@@ -86,11 +83,12 @@ _OFF_NC = _OFF_RU + 10 * 5 * 31
 
 
 def columnar_enabled() -> bool:
-    """Whether the harness should run the columnar data plane.
+    """Always ``True``: the columnar plane is the only data plane.
 
-    On by default; ``REPRO_COLUMNAR=0`` disables it.
+    Kept only because ``perfbench/bench_workloads.py`` imports it at
+    module load.
     """
-    return os.environ.get(COLUMNAR_ENV, "1") not in ("0", "")
+    return True
 
 
 def native_enabled() -> bool:

@@ -174,6 +174,48 @@ class TestRunnerPlumbing:
         assert report.sender_report.records_sent == config.records
         assert report == StreamBenchHarness(config).run_matrix(parallel=False)
 
+    def test_every_pool_forks(self, monkeypatch):
+        """All three process pools pin the ``fork`` start method: workers
+        inherit the parent's workload memo instead of regenerating it,
+        whatever the interpreter's default start method is."""
+        from repro.benchmark import capacity, parallel
+        from repro.benchmark.capacity import CapacityRunner
+        from repro.benchmark.config import CapacitySettings
+
+        contexts = []
+
+        class InlinePool:
+            """Records its ``mp_context`` and maps in-process."""
+
+            def __init__(self, max_workers=None, mp_context=None):
+                contexts.append(mp_context)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(capacity, "ProcessPoolExecutor", InlinePool)
+        config = full_grid_config(
+            systems=("flink",),
+            queries=("grep",),
+            kinds=("native",),
+            parallelisms=(1,),
+            capacity=CapacitySettings(
+                records=500, queue_bound=200, search_iterations=1,
+                parallelisms=(1,), kinds=("native",),
+            ),
+        )
+        MatrixRunner(config).run(parallel=True, workers=2)
+        CapacityRunner(config).run(parallel=True, workers=2)
+        CapacityRunner(config).run_scalability(parallel=True, workers=2)
+        assert [c.get_start_method() for c in contexts] == ["fork"] * 3
+
 
 class TestCellWorldRelease:
     """A finished cell frees its broker world by reference count alone.
@@ -209,6 +251,43 @@ class TestCellWorldRelease:
             assert len(runs) == 2
             assert len(logs) == 1
             assert logs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_warmup_input_log_is_freed_before_the_cells(self, monkeypatch):
+        """The standalone runner's ingest-only warm-up world is released
+        as soon as it has produced the sender report, not when ``run``
+        returns — its input log must not add to the cells' peak memory."""
+        import gc
+        import weakref
+
+        logs = []
+        alive_at_ingest = []
+        original = StreamBenchHarness.ingest
+
+        def ingest(harness):
+            alive_at_ingest.append([log() is not None for log in logs])
+            report = original(harness)
+            topic = harness.broker.topic(harness.config.input_topic)
+            logs.append(weakref.ref(topic.partition(0)))
+            return report
+
+        monkeypatch.setattr(StreamBenchHarness, "ingest", ingest)
+        config = full_grid_config(
+            records=1_000,
+            runs=2,
+            systems=("flink",),
+            queries=("grep",),
+            kinds=("native",),
+            parallelisms=(1,),
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            MatrixRunner(config).run(parallel=False)
+            # The warm-up world ingests first, then the one cell's world.
+            assert alive_at_ingest == [[], [False]]
         finally:
             if enabled:
                 gc.enable()

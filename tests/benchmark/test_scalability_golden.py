@@ -6,7 +6,7 @@ flush placement, percentile selection) must leave every field of every
 :class:`~repro.benchmark.capacity.CapacityCell` bit-identical.  This test
 hashes a small sweep — flink/apex × native/beam × grep/sample/statistics/
 windowed × P ∈ {1, 2} at 2,000 records — and compares the SHA-256 to a
-pinned value.  The digest is the same on both data planes.
+pinned value.
 
 If it fails after an *intentional* cost-model or search change,
 regenerate the value with::

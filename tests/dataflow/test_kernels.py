@@ -9,10 +9,12 @@ kernel must *refuse* its fast path to stay exact.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 import repro.dataflow.kernels as kernels
+from repro.dataflow.compiler import BatchSegment, lower_stage
 from repro.dataflow.functions import (
     FilterFunction,
     IdentityFunction,
@@ -28,10 +30,21 @@ from repro.dataflow.kernels import (
     IdentityKernel,
     KernelSpec,
     SampleKernel,
+    SlabColumn,
     WorkloadSlab,
-    compile_function,
     slab_for,
+    slab_from_columns,
 )
+
+
+def make_slab(records):
+    """A slab over ``records`` laid out as the columnar plane's columns."""
+    starts = array("q")
+    offset = 0
+    for record in records:
+        starts.append(offset)
+        offset += len(record) + 1
+    return slab_from_columns("\n".join(records).encode("ascii"), starts)
 
 
 def ref_grep(needle, values):
@@ -165,7 +178,7 @@ class TestColumnKernel:
 
 class TestColumnSlabProjection:
     def _slab(self, values):
-        slab = kernels._build_slab(values)
+        slab = make_slab(values)
         assert slab is not None
         return slab
 
@@ -319,7 +332,7 @@ class TestFusionAndChains:
                 IdentityFunction(),
             ]
         )
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert kernel is not None
         values = [f"a{i}\tb" for i in range(200)]
         ref_rng = random.Random(5)
@@ -337,14 +350,11 @@ class TestFusionAndChains:
                 IdentityFunction(),
             ]
         )
-        assert compile_function(fn) is None
-
-    def test_unspecced_function_does_not_compile(self):
-        assert compile_function(MapFunction(str.upper)) is None
+        assert isinstance(lower_stage(fn).segments[0], BatchSegment)
 
     def test_identity_only_chain_is_identity(self):
         fn = compose([IdentityFunction(), IdentityFunction()])
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, IdentityKernel)
 
     def test_fused_comprehension_cache_reused(self):
@@ -366,7 +376,7 @@ class TestFusionAndChains:
                 ),
             ]
         )
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         values = [("xxab",), ("cd",)] * 40
         assert kernel(values) == [v[0] for v in values if "xx" in v[0]]
 
@@ -389,7 +399,7 @@ class TestFusionAndChains:
 class TestWorkloadSlab:
     def test_build_and_offsets(self):
         records = ["alpha", "b", "", "gamma"]
-        slab = kernels._build_slab(records)
+        slab = make_slab(records)
         assert isinstance(slab, WorkloadSlab)
         assert slab.text == "alpha\nb\n\ngamma"
         assert slab.starts.tolist() == [0, 6, 8, 9]
@@ -397,62 +407,22 @@ class TestWorkloadSlab:
             start = int(slab.starts[i])
             assert slab.text[start : start + len(rec)] == rec
 
-    def test_embedded_newline_refused(self):
-        assert kernels._build_slab(["a", "b\nc"]) is None
-
-    def test_non_ascii_refused(self):
-        assert kernels._build_slab(["héllo", "x"]) is None
-
-    def test_non_str_refused(self):
-        assert kernels._build_slab([1, 2, 3]) is None
-
-    def test_slab_for_threshold_and_type(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 4)
-        assert slab_for(["a", "b"]) is None  # below threshold
-        assert slab_for(("a", "b", "c", "d", "e")) is None  # not a list
-        records = ["a", "b", "c", "d", "e"]
-        slab = slab_for(records)
-        assert slab is not None and slab.records is records
-
-    def test_slab_cached_by_identity(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        records = ["a", "b", "c"]
-        assert slab_for(records) is slab_for(records)
-        assert slab_for(list(records)) is not slab_for(records)
-
-    def test_failed_build_memoized(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        records = ["a\nb", "c"]
+    def test_slab_for_threshold_and_type(self):
+        """Only a slab-origin column from row 0 carries a slab; plain
+        lists of any size and offset windows have none."""
+        records = [f"r{i}" for i in range(5_000)]
         assert slab_for(records) is None
-        builds = []
-        original = kernels._build_slab
-        monkeypatch.setattr(
-            kernels, "_build_slab", lambda r: builds.append(1) or original(r)
-        )
-        assert slab_for(records) is None
-        assert not builds  # the failure was served from the memo
-
-    def test_grown_list_invalidates_entry(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        records = ["a", "b", "c"]
-        first = slab_for(records)
-        records.append("d")
-        second = slab_for(records)
-        assert second is not first
-        assert second.text == "a\nb\nc\nd"
-
-    def test_cache_eviction_keeps_cap(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 2)
-        keep = [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"]]
-        for records in keep:
-            slab_for(records)
-        assert len(kernels._SLAB_CACHE) <= kernels._SLAB_CACHE_MAX
+        assert slab_for(tuple(records)) is None
+        slab = make_slab(records)
+        assert slab_for(SlabColumn(slab)) is slab
+        assert slab_for(SlabColumn(slab, 0, 10)) is slab
+        assert slab_for(SlabColumn(slab, 1)) is None
 
 
 class TestGrepSlabPath:
     def test_call_slab_serves_original_objects(self):
         records = [f"row {i} test" if i % 3 == 0 else f"row {i}" for i in range(100)]
-        slab = kernels._build_slab(records)
+        slab = make_slab(records)
         kernel = GrepKernel("test")
         out = kernel.call_slab(slab, 0, records[:50]) + kernel.call_slab(
             slab, 50, records[50:]
@@ -464,7 +434,7 @@ class TestGrepSlabPath:
 
     def test_flush_clears_scan_state(self):
         records = ["a test", "b"] * 40
-        slab = kernels._build_slab(records)
+        slab = make_slab(records)
         kernel = GrepKernel("test")
         kernel.call_slab(slab, 0, records)
         assert kernel._indices is not None
@@ -473,14 +443,14 @@ class TestGrepSlabPath:
 
     def test_no_hits(self):
         records = [f"row {i}" for i in range(80)]
-        slab = kernels._build_slab(records)
+        slab = make_slab(records)
         kernel = GrepKernel("zzz")
         assert kernel.call_slab(slab, 0, records) == []
         kernel.flush()
 
     def test_multiple_hits_one_record_emitted_once(self):
         records = ["XY XY XY", "plain"] * 40
-        slab = kernels._build_slab(records)
+        slab = make_slab(records)
         kernel = GrepKernel("XY")
         out = kernel.call_slab(slab, 0, records)
         kernel.flush()
@@ -524,7 +494,7 @@ AOL_LIKE = [
 class TestWordCountKernel:
     def test_matches_reference_across_chunks(self):
         fn = make_wordcount()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.WordCountKernel)
         out = kernel(AOL_LIKE[:101]) + kernel(AOL_LIKE[101:])
         ref = make_wordcount()
@@ -533,7 +503,7 @@ class TestWordCountKernel:
 
     def test_slab_path_matches(self):
         records = [f"u{i}\tquery {i % 3} words" for i in range(120)]
-        slab = kernels._build_slab(records)
+        slab = make_slab(records)
         fn = make_wordcount()
         kernel = kernels.WordCountKernel(fn)
         out = kernel.call_slab(slab, 0, records[:60]) + kernel.call_slab(
@@ -547,7 +517,7 @@ class TestWordCountKernel:
         """A separator-free line breaks the regex count; the kernel must
         detect the mismatch and take the exact per-line path."""
         records = ["a\tone two", "no-separator here", "b\tthree"] * 30
-        slab = kernels._build_slab(records)
+        slab = make_slab(records)
         fn = make_wordcount()
         kernel = kernels.WordCountKernel(fn)
         out = kernel.call_slab(slab, 0, records)
@@ -559,7 +529,7 @@ class TestWordCountKernel:
 class TestDistinctCountKernel:
     def test_matches_reference_across_chunks(self):
         fn = make_distinct()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.DistinctCountKernel)
         out = kernel(AOL_LIKE[:77]) + kernel(AOL_LIKE[77:])
         ref = make_distinct()
@@ -570,7 +540,7 @@ class TestDistinctCountKernel:
 class TestStatisticsKernel:
     def test_bulk_matches_reference(self):
         fn = make_statistics()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.StatisticsKernel)
         out = kernel(AOL_LIKE[:150]) + kernel(AOL_LIKE[150:])
         ref = make_statistics()
@@ -600,7 +570,7 @@ class TestKeyedReduceKernel:
 
         values = [(f"k{i % 5}", i) for i in range(100)]
         fn = build()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.KeyedReduceKernel)
         out = kernel(values[:33]) + kernel(values[33:])
         ref = build()
@@ -619,7 +589,7 @@ class TestUpdateStateKernel:
 
         values = [(f"k{i % 4}", i) for i in range(80)]
         fn = build()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.UpdateStateKernel)
         out = kernel(values[:41]) + kernel(values[41:])
         ref = build()
@@ -632,7 +602,7 @@ class TestGroupByKeyKernel:
         from repro.beam.runners.util import GroupByKeyFunction
 
         fn = GroupByKeyFunction()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.GroupByKeyKernel)
         assert kernel([("a", 1), ("b", 2), ("a", 3)]) == []
         assert fn.groups == {"a": [1, 3], "b": [2]}
@@ -843,7 +813,7 @@ class TestWindowedAggregateKernel:
     def test_fixed_windows_match_reference(self):
         values = [(f"k{i % 3}", float(i % 37)) for i in range(150)]
         fn = self.make()
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.WindowedAggregateKernel)
         assert kernel(values[:70]) + kernel(values[70:]) == []
         ref = self.make()
@@ -856,7 +826,7 @@ class TestWindowedAggregateKernel:
 
         values = [(f"k{i % 2}", float(i)) for i in range(60)]
         fn = self.make(window_fn=SlidingWindows(10.0, 5.0))
-        kernel = compile_function(fn)
+        kernel = lower_stage(fn)
         assert isinstance(kernel, kernels.WindowedAggregateKernel)
         kernel(values)
         ref = self.make(window_fn=SlidingWindows(10.0, 5.0))
@@ -872,7 +842,7 @@ class TestWindowedAggregateKernel:
             filter_fn=lambda v: v[2] % 3 != 0,
         )
         fn = make()
-        compile_function(fn)(values)
+        lower_stage(fn)(values)
         ref = make()
         ref_process(ref, values)
         assert list(fn.panes.items()) == list(ref.panes.items())
@@ -890,7 +860,7 @@ class TestWindowedAggregateKernel:
 
         fn = self.make(trigger=AfterCount(5))
         assert getattr(fn, "kernel_spec", None) is None
-        assert compile_function(fn) is None
+        assert isinstance(lower_stage(fn), BatchSegment)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ pure host-side optimisation: for every system × query × API combination
 the simulated world — run durations, broker-timestamp measurements,
 output topic contents, cost totals, operator metrics — has to be
 **bit-identical** to the per-record reference loop.  This suite runs the
-full benchmark matrix both ways under one fixed seed (with the
-workload-slab threshold lowered so the slab fast path is genuinely
+full benchmark matrix both ways under one fixed seed (the ingested
+workload is a slab column, so the slab fast path is genuinely
 exercised), repeats the comparison under broker chaos, checks spec-less
 user function shapes through the pump, and property-tests that the
 sample kernel consumes the *exact same RNG stream* as per-record draws.
@@ -34,11 +34,12 @@ from repro.dataflow.functions import (
     StreamFunction,
     compose,
 )
-from repro.dataflow.kernels import KernelSpec
+from repro.dataflow.kernels import KernelSpec, SlabColumn, slab_from_columns
 from repro.engines.common.costs import RunVariance, StageCosts
 from repro.engines.common.pump import StreamPump
 from repro.engines.common.stages import PhysicalStage, StageKind
 from repro.simtime import Simulator
+from repro.workloads.columnar import generate_columns
 
 SYSTEMS = ("flink", "spark", "apex")
 QUERIES = ("identity", "sample", "projection", "grep")
@@ -92,19 +93,14 @@ def _campaign() -> tuple[list, dict, float]:
 
 @pytest.fixture(scope="module")
 def campaigns():
-    """One full-matrix campaign per tier, slab threshold lowered.
+    """One full-matrix campaign per tier.
 
-    The matrix runs 2,000 records per cell — below the production
-    ``SLAB_MIN_RECORDS`` — so the threshold is dropped for the whole
-    fixture to make the kernel campaign actually take the slab path
-    (the reference tier never consults it).  At the default threshold
-    the kernel campaign hits no kernel entry point (class, slab or
-    per-chunk call, input type) that the lowered one misses.
+    The harness ingests the workload as a slab column, so the kernel
+    campaign takes the slab path (the reference tier never consults it).
     """
     results = {}
     mp = pytest.MonkeyPatch()
     try:
-        mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
         for tier, vectorized in TIERS.items():
             mp.setattr(StreamPump, "vectorized", vectorized)
             results[tier] = _campaign()
@@ -168,7 +164,6 @@ class TestChaosEquivalence:
         reports = {}
         mp = pytest.MonkeyPatch()
         try:
-            mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
             for tier, vectorized in TIERS.items():
                 mp.setattr(StreamPump, "vectorized", vectorized)
                 harness = StreamBenchHarness(config, chaos=plan)
@@ -380,9 +375,10 @@ def test_sample_rng_state_continues_across_runs():
 # Slab fast path through the pump
 
 
-@pytest.fixture
-def low_slab_threshold(monkeypatch):
-    monkeypatch.setattr(kernels, "SLAB_MIN_RECORDS", 32)
+def _slab_column(num_records):
+    """A fresh, undecoded slab column over the generated workload."""
+    data, starts = generate_columns(num_records)
+    return SlabColumn(slab_from_columns(data, starts))
 
 
 def _grep_stages(function=None):
@@ -417,11 +413,9 @@ def _pump_stages(stages, records, tier="kernel"):
 
 
 class TestSlabPumpPath:
-    def test_slab_path_taken_and_identical(self, low_slab_threshold, monkeypatch):
-        """Above the threshold the pump serves grep from the slab scan."""
-        from repro.workloads.aol import generate_records
-
-        records = generate_records(1_000)
+    def test_slab_path_taken_and_identical(self, monkeypatch):
+        """A slab column input makes the pump serve grep from the slab scan."""
+        records = _slab_column(1_000)
         calls = []
         original = kernels.GrepKernel.call_slab
 
@@ -431,21 +425,18 @@ class TestSlabPumpPath:
 
         monkeypatch.setattr(kernels.GrepKernel, "call_slab", spying)
         outputs, _ = _pump_stages(_grep_stages(), records)
-        reference, _ = _pump_stages(_grep_stages(), records, tier="reference")
         assert calls, "slab path was not taken"
+        # Slab grep decodes only its hits, never the whole slab.
+        assert records.slab.records is None
+        reference, _ = _pump_stages(_grep_stages(), records, tier="reference")
         assert outputs == reference
-        # Slab grep must emit the *original* record objects, not copies.
-        by_identity = {id(r) for r in records}
-        assert all(id(v) in by_identity for v in outputs)
 
-    def test_leading_identity_keeps_slab_eligibility(
-        self, low_slab_threshold, monkeypatch
-    ):
+    def test_leading_identity_keeps_slab_eligibility(self, monkeypatch):
         """An identity stage passes chunks through without breaking the
         downstream kernel's slab path (zero-copy preserves identity)."""
-        from repro.workloads.aol import GREP_NEEDLE, generate_records
+        from repro.workloads.aol import GREP_NEEDLE
 
-        records = generate_records(500)
+        records = _slab_column(500)
         calls = []
         original = kernels.GrepKernel.call_slab
 
@@ -467,11 +458,11 @@ class TestSlabPumpPath:
         assert calls, "identity stage broke the slab path"
         assert outputs == [v for v in records if GREP_NEEDLE in v]
 
-    def test_transformed_chunks_leave_slab_path(self, low_slab_threshold):
+    def test_transformed_chunks_leave_slab_path(self):
         """After a non-slab transform the grep kernel gets real values."""
-        from repro.workloads.aol import GREP_NEEDLE, generate_records
+        from repro.workloads.aol import GREP_NEEDLE
 
-        records = generate_records(500)
+        records = _slab_column(500)
         upper = compose(
             [
                 FilterFunction(
@@ -506,8 +497,9 @@ class TestSlabPumpPath:
         ]
         assert outputs == expected
 
-    def test_records_with_newlines_fall_back_correctly(self, low_slab_threshold):
-        """Slab build fails on embedded newlines; outputs stay exact."""
+    def test_records_with_newlines_fall_back_correctly(self):
+        """Plain lists (here with embedded newlines) take the per-chunk
+        kernels; outputs stay exact."""
         records = [f"line-{i}\nneedle-{i}" if i % 7 == 0 else f"line-{i}" for i in range(200)]
         function = FilterFunction(
             lambda v: "needle" in v,
@@ -519,24 +511,24 @@ class TestSlabPumpPath:
         assert outputs == [v for v in records if "needle" in v]
 
     def test_below_threshold_no_slab(self, monkeypatch):
-        """Small inputs never pay the slab build."""
+        """Plain record lists never take the slab path."""
         from repro.workloads.aol import generate_records
 
-        records = generate_records(100)  # < SLAB_MIN_RECORDS
-        built = []
-        original = kernels._build_slab
+        records = generate_records(100)
+        calls = []
+        original = kernels.GrepKernel.call_slab
 
-        def spying(recs):
-            built.append(len(recs))
-            return original(recs)
+        def spying(self, slab, base, values):
+            calls.append(base)
+            return original(self, slab, base, values)
 
-        monkeypatch.setattr(kernels, "_build_slab", spying)
+        monkeypatch.setattr(kernels.GrepKernel, "call_slab", spying)
         outputs, _ = _pump_stages(_grep_stages(), records)
         reference, _ = _pump_stages(_grep_stages(), records, tier="reference")
-        assert not built
+        assert not calls
         assert outputs == reference
 
-    def test_recovery_chunk_path_flushes_per_chunk(self, low_slab_threshold):
+    def test_recovery_chunk_path_flushes_per_chunk(self):
         """_process_chunk (the recovery entry point) stays slab-free and
         leaves no kernel state behind between chunks."""
         from repro.workloads.aol import GREP_NEEDLE, generate_records

@@ -12,9 +12,6 @@ plan compiler's wire fusion actually engages) get the same treatment
 through a raw pump, including pane-dict insertion order for the windowed
 Q5.  A chaos campaign repeats the matrix under broker faults, where any
 extra or reordered request would land the fault schedule differently.
-
-CI runs this suite on the default data plane (tier-1) and again with
-``REPRO_COLUMNAR=1`` forced, so both planes are covered.
 """
 
 from __future__ import annotations
@@ -89,12 +86,11 @@ def _campaign() -> tuple[list, dict, float]:
 
 @pytest.fixture(scope="module")
 def campaigns():
-    """One keyed-matrix campaign per tier, slab threshold lowered so the
-    wordcount slab path is genuinely exercised on the kernel tier."""
+    """One keyed-matrix campaign per tier.  The harness ingests a slab
+    column, so the wordcount slab path is exercised on the kernel tier."""
     results = {}
     mp = pytest.MonkeyPatch()
     try:
-        mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
         for tier, vectorized in TIERS.items():
             mp.setattr(StreamPump, "vectorized", vectorized)
             results[tier] = _campaign()
@@ -154,7 +150,6 @@ class TestKeyedChaosEquivalence:
         reports = {}
         mp = pytest.MonkeyPatch()
         try:
-            mp.setattr(kernels, "SLAB_MIN_RECORDS", 64)
             for tier, vectorized in TIERS.items():
                 mp.setattr(StreamPump, "vectorized", vectorized)
                 harness = StreamBenchHarness(config, chaos=plan)

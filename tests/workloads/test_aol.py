@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,19 @@ from repro.workloads.aol import (
     iter_record_chunks,
     parse_record,
 )
+from repro.workloads.columnar import ColumnarWorkload
+
+
+def _with_lines(workload, lines):
+    """Swap ``workload``'s columns for ``lines`` (a hand-corrupted copy)."""
+    data = "\n".join(lines).encode("ascii")
+    starts, offset = [], 0
+    for line in lines:
+        starts.append(offset)
+        offset += len(line) + 1
+    workload._columnar = ColumnarWorkload(
+        len(lines), workload.seed, data, np.array(starts, np.int64)
+    )
 
 
 class TestGeneration:
@@ -116,7 +130,7 @@ class TestChunkedGeneration:
 class TestWorkloadWrapper:
     def test_lazy_and_cached(self):
         workload = AolWorkload(100)
-        assert workload._records is None
+        assert workload._columnar is None
         first = workload.records
         assert workload.records is first
 
@@ -132,7 +146,7 @@ class TestWorkloadWrapper:
         workload = AolWorkload(5_000)
         lines = list(workload.records)
         lines[4_999] = "no tabs at all"
-        workload._records = lines
+        _with_lines(workload, lines)
         with pytest.raises(ValueError):
             workload.verify()
 
@@ -140,7 +154,7 @@ class TestWorkloadWrapper:
         workload = AolWorkload(5_000)
         lines = list(workload.records)
         lines[2_500] = "broken\tline"
-        workload._records = lines
+        _with_lines(workload, lines)
         with pytest.raises(ValueError):
             workload.verify(sample_stride=1)
 

@@ -1,4 +1,9 @@
-"""Tests for the versioned on-disk workload cache."""
+"""Tiering and sharing of the workload cache.
+
+Round trips, corruption and staleness of the on-disk entry itself live
+in ``test_columnar_cache.py``; this file pins when the disk tier engages
+and that workloads share one in-process copy.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +13,10 @@ from repro.workloads import aol
 from repro.workloads.cache import (
     WorkloadCache,
     clear_memo,
-    ensure_disk_cached,
-    load_workload,
+    ensure_columns_cached,
+    load_columnar_workload,
 )
+from repro.workloads.columnar import generate_columns
 
 
 @pytest.fixture(autouse=True)
@@ -28,81 +34,36 @@ def cache(tmp_path):
 
 
 class TestRoundTrip:
-    def test_load_equals_generation(self, cache):
-        lines = load_workload(3_000, seed=11, cache=cache)
-        assert lines == aol.generate_records(3_000, seed=11)
-        clear_memo()
-        assert load_workload(3_000, seed=11, cache=cache) == lines
-
-    def test_entry_created_atomically(self, cache):
-        load_workload(2_000, seed=11, cache=cache)
-        entries = list(cache.directory.iterdir())
-        assert [e.name for e in entries] == [cache.entry_path(11, 2_000).name]
-        assert not any(e.name.endswith(".tmp") for e in entries)
-
     def test_empty_workload(self, cache):
-        assert load_workload(0, seed=3, cache=cache) == []
+        assert load_columnar_workload(0, seed=3, cache=cache).records == []
         clear_memo()
-        assert load_workload(0, seed=3, cache=cache) == []
+        assert load_columnar_workload(0, seed=3, cache=cache).records == []
+        assert not cache.directory.exists()  # nothing worth persisting
 
     def test_keys_are_independent(self, cache):
-        a = load_workload(1_000, seed=1, cache=cache)
-        b = load_workload(1_000, seed=2, cache=cache)
-        c = load_workload(1_500, seed=1, cache=cache)
+        a = load_columnar_workload(1_000, seed=1, cache=cache).records
+        b = load_columnar_workload(1_000, seed=2, cache=cache).records
+        c = load_columnar_workload(1_500, seed=1, cache=cache).records
         assert a != b
         assert len(c) == 1_500
         assert len(list(cache.directory.iterdir())) == 3
 
-    def test_memo_shares_one_list(self, cache):
-        first = load_workload(1_000, seed=1, cache=cache)
-        assert load_workload(1_000, seed=1, cache=cache) is first
-
 
 class TestCorruptionAndStaleness:
-    def test_corrupted_payload_detected_and_regenerated(self, cache):
-        reference = load_workload(2_000, seed=9, cache=cache)
-        path = cache.entry_path(9, 2_000)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        clear_memo()
-
-        assert cache.load(9, 2_000) is None
-        assert not path.exists()  # the bad entry was dropped
-        regenerated = load_workload(2_000, seed=9, cache=cache)
-        assert regenerated == reference
-        assert path.exists()  # ... and replaced by a valid one
-        clear_memo()
-        assert cache.load(9, 2_000) == reference
-
-    def test_truncated_entry_is_a_miss(self, cache):
-        load_workload(2_000, seed=9, cache=cache)
-        path = cache.entry_path(9, 2_000)
-        path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
-        clear_memo()
-        assert cache.load(9, 2_000) is None
-
     def test_stale_generator_version_is_a_miss(self, cache, monkeypatch):
-        load_workload(2_000, seed=9, cache=cache)
-        stale_path = cache.entry_path(9, 2_000)
+        load_columnar_workload(2_000, seed=9, cache=cache)
+        stale_path = cache.columns_path(9, 2_000)
         monkeypatch.setattr(aol, "GENERATOR_VERSION", aol.GENERATOR_VERSION + 1)
         # The new version keys a different path, so the old entry is
         # simply never consulted again.
-        assert cache.entry_path(9, 2_000) != stale_path
-        assert cache.load(9, 2_000) is None
-
-    def test_edited_header_is_a_miss(self, cache):
-        load_workload(2_000, seed=9, cache=cache)
-        path = cache.entry_path(9, 2_000)
-        data = path.read_bytes()
-        path.write_bytes(data.replace(b"records=2000", b"records=2001", 1))
-        clear_memo()
-        assert cache.load(9, 2_000) is None
+        assert cache.columns_path(9, 2_000) != stale_path
+        assert cache.load_columns(9, 2_000) is None
 
     def test_store_rejects_wrong_record_count(self, cache):
+        data, starts = generate_columns(3, seed=1)
         with pytest.raises(ValueError):
-            cache.store(1, 10, iter([["only", "three", "lines"]]))
-        assert not any(
+            cache.store_columns(1, 10, data, starts)
+        assert not cache.directory.exists() or not any(
             e.name.endswith(".tmp") for e in cache.directory.iterdir()
         )
 
@@ -111,8 +72,8 @@ class TestTiering:
     def test_small_workloads_stay_memory_only(self, tmp_path, monkeypatch):
         directory = tmp_path / "disk"
         monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
-        lines = load_workload(500, seed=4)  # default threshold is 100k
-        assert lines == aol.generate_records(500, seed=4)
+        workload = load_columnar_workload(500, seed=4)  # default threshold is 100k
+        assert workload.records == aol.generate_records(500, seed=4)
         assert not directory.exists()
 
     def test_disk_tier_can_be_disabled(self, tmp_path, monkeypatch):
@@ -120,43 +81,38 @@ class TestTiering:
         monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
         monkeypatch.setenv("REPRO_WORKLOAD_CACHE_MIN", "100")
         monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "0")
-        load_workload(500, seed=4)
+        load_columnar_workload(500, seed=4)
         assert not directory.exists()
 
     def test_threshold_env_engages_disk(self, tmp_path, monkeypatch):
         directory = tmp_path / "disk"
         monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
         monkeypatch.setenv("REPRO_WORKLOAD_CACHE_MIN", "100")
-        load_workload(500, seed=4)
+        load_columnar_workload(500, seed=4)
         assert directory.exists()
-        assert WorkloadCache().load(4, 500) == aol.generate_records(500, seed=4)
+        loaded = WorkloadCache().load_columns(4, 500)
+        assert loaded is not None
+        assert loaded.records == aol.generate_records(500, seed=4)
 
-    def test_ensure_disk_cached(self, cache):
-        assert ensure_disk_cached(1_000, seed=6, cache=cache) == cache.entry_path(
-            6, 1_000
-        )
-        # Idempotent, and serves the pre-seeded entry afterwards.
-        assert ensure_disk_cached(1_000, seed=6, cache=cache).exists()
-        assert cache.load(6, 1_000) == aol.generate_records(1_000, seed=6)
-
-    def test_ensure_disk_cached_respects_threshold(self, tmp_path, monkeypatch):
+    def test_ensure_columns_cached_respects_threshold(self, tmp_path, monkeypatch):
         directory = tmp_path / "disk"
         monkeypatch.setenv("REPRO_WORKLOAD_CACHE_DIR", str(directory))
-        assert ensure_disk_cached(500, seed=4) is None
+        assert ensure_columns_cached(500, seed=4) is None
         assert not directory.exists()
 
     def test_unwritable_directory_degrades_gracefully(self, tmp_path):
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
         cache = WorkloadCache(blocked / "sub", min_records=0)
-        lines = load_workload(800, seed=2, cache=cache)
-        assert lines == aol.generate_records(800, seed=2)
+        workload = load_columnar_workload(800, seed=2, cache=cache)
+        assert workload.records == aol.generate_records(800, seed=2)
 
 
 class TestWorkloadIntegration:
     def test_aol_workload_uses_memo(self):
         a = aol.AolWorkload(1_200, seed=8)
         b = aol.AolWorkload(1_200, seed=8)
+        assert a.columnar() is b.columnar()
         assert a.records is b.records
 
     def test_harness_workloads_share_one_list(self):
@@ -165,4 +121,5 @@ class TestWorkloadIntegration:
         config = BenchmarkConfig(records=1_200, runs=1)
         first = StreamBenchHarness(config)
         second = StreamBenchHarness(config)
+        assert first.workload.columnar() is second.workload.columnar()
         assert first.workload.records is second.workload.records

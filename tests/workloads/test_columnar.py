@@ -85,9 +85,12 @@ class TestGenerateColumns:
 class TestColumnarWorkload:
     def test_records_decode_lazily_and_match(self):
         workload = columnar.ColumnarWorkload.generate(4_500, seed=9)
-        assert workload.records == aol.generate_records(4_500, seed=9)
+        reference = aol.generate_records(4_500, seed=9)
+        assert workload.records == reference
         # The decoded list is cached on the shared slab.
         assert workload.records is workload.records
+        # The workload wrapper decodes the same lines from its columns.
+        assert aol.AolWorkload(4_500, seed=9).records == reference
 
     def test_column_windows(self):
         workload = columnar.ColumnarWorkload.generate(5_000)
