@@ -191,9 +191,12 @@ class PartitionLog:
             return first
         self.ensure_capacity(count)
         now = self._clock.now()
+        # One arrival instant for the whole batch: repeat a one-element
+        # array (a memcpy) instead of converting ``count`` boxed floats.
+        stamps = array("d", (now,)) * count
         if keys is None and type(values) is SlabColumn:
             self._adopt_column(values)
-            self._timestamps.extend([now] * count)
+            self._timestamps.extend(stamps)
             return first
         if type(self._values) is not list:
             self._degrade()
@@ -204,7 +207,7 @@ class PartitionLog:
             if len(keys) != count:
                 raise ValueError("keys and values must have equal length")
             self._keys.extend(keys)
-        self._timestamps.extend([now] * count)
+        self._timestamps.extend(stamps)
         return first
 
     def _adopt_column(self, view: SlabColumn) -> None:

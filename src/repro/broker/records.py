@@ -116,7 +116,8 @@ class KafkaRecordColumn(Sequence):
     indexing, iteration and extended slices (``[::step]``, a list) build
     each :class:`KafkaRecord` on demand, so per-record consumers see
     exactly the elements a record list would hold.  The compiled kernels
-    read the columns directly (:meth:`kv`).
+    read the columns directly: ``withoutMetadata`` slices the window's key
+    and value columns into a :class:`~repro.dataflow.kernels.PairColumn`.
     """
 
     __slots__ = ("topic", "values", "timestamps", "keys", "segments", "start", "stop")
@@ -194,13 +195,6 @@ class KafkaRecordColumn(Sequence):
                     self.values[row],
                 )
         raise IndexError("record column index out of range")  # pragma: no cover
-
-    def kv(self) -> list[tuple[Any, Any]]:
-        """Every record's ``(key, value)`` pair, without building records."""
-        values = self.values[self.start : self.stop]
-        if self.keys is None:
-            return [(None, value) for value in values]
-        return list(zip(self.keys[self.start : self.stop], values))
 
     def __repr__(self) -> str:
         return f"KafkaRecordColumn({self.topic!r}, rows {self.start}:{self.stop})"

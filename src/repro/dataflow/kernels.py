@@ -49,15 +49,28 @@ Kernel shapes (mirroring the StreamBench queries on the Figure-5 path):
   (no query in this repo does).
 - ``identity``: zero-copy passthrough (chunks are private slices, or
   column windows that must stay unmaterialised).
-- ``item`` / ``kv_value`` / ``ensure_kv``: closure-free generated
-  comprehensions.
-- ``kafka_kv`` (Beam ``withoutMetadata``): ``(key, value)`` pairs read
-  straight off a :class:`~repro.broker.records.KafkaRecordColumn`'s key
-  and value columns — no ``KafkaRecord`` is built.
+- ``kafka_kv`` (Beam ``withoutMetadata``): a
+  :class:`~repro.broker.records.KafkaRecordColumn` chunk becomes a
+  :class:`PairColumn` — the window's key column (``None`` when no record
+  has a key) and value column, sliced; no ``KafkaRecord`` and no pair is
+  built.
+- ``item`` / ``kv_value`` / ``ensure_kv``: column steps first, generated
+  comprehensions otherwise.  On a :class:`PairColumn`, ``item(1)`` and
+  ``kv_value`` return the value column, ``item(0)`` the key column and
+  ``ensure_kv`` the pair column itself.  On a value column that passes an
+  exact guard — a :class:`SlabColumn`, or a ``list`` whose every element
+  has exact type ``str``/``bytes``/``int``/``float``/``NoneType``, so no
+  element can pass ``isinstance(v, tuple)`` — ``kv_value`` returns the
+  column unchanged and ``ensure_kv`` wraps it as ``PairColumn(None,
+  values)``.  Any other chunk runs the comprehension.  Chains, the pump
+  and the Beam sinks hand a :class:`PairColumn` on as is, so a Beam
+  identity cell writes the read's value strings without building a pair.
 - chains (``ComposedFunction``): consecutive comprehension-shaped parts
   are fused into one generated comprehension (filters short-circuit
-  before maps, preserving draw order and side-effect counts); bulk-shaped
-  parts run as their dedicated kernels in sequence.
+  before maps, preserving draw order and side-effect counts; each map
+  fragment is evaluated once per record, its result bound by a
+  one-element ``for`` clause); bulk-shaped parts run as their dedicated
+  kernels in sequence.
 
 Keyed & stateful kernels (the Table-2/Nexmark path; see
 ``repro.dataflow.compiler`` for how stages are lowered):
@@ -96,9 +109,10 @@ from __future__ import annotations
 import random
 import re
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Any, Callable, Sequence
+from itertools import compress, repeat
+from typing import Any, Callable
 
 import numpy as _np
 
@@ -270,6 +284,43 @@ class ChunkView:
         return self._records[self._start + index]
 
 
+class PairColumn(Sequence):
+    """A chunk of ``(key, value)`` pairs held as a key and a value column.
+
+    What ``kafka_kv`` (Beam ``withoutMetadata``) returns for a
+    :class:`~repro.broker.records.KafkaRecordColumn` chunk and what
+    ``ensure_kv`` wraps a guarded value column in.  ``keys`` is a list
+    aligned with ``values``, or ``None`` when every key is ``None``.  The
+    column kernels read the columns directly (``item``, ``kv_value`` and
+    ``ensure_kv`` build no pair); every other consumer sees an immutable
+    ``Sequence`` of 2-tuples, built on demand, equal to the pair list the
+    reference loop produces.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: list | None, values: Sequence[Any]) -> None:
+        self.keys = keys
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return zip(repeat(None) if self.keys is None else self.keys, self.values)
+
+    def __getitem__(self, index):
+        keys = self.keys
+        if isinstance(index, slice):
+            values = self.values[index]
+            return list(zip(repeat(None) if keys is None else keys[index], values))
+        return (None if keys is None else keys[index], self.values[index])
+
+    def key_column(self) -> list:
+        """The keys as a list aligned with ``values``."""
+        return [None] * len(self.values) if self.keys is None else self.keys
+
+
 def slab_for(records: Any) -> WorkloadSlab | None:
     """The shared slab behind ``records``, or ``None``.
 
@@ -356,7 +407,7 @@ class KernelSpec:
     def kafka_kv(cls) -> "KernelSpec":
         """Beam ``withoutMetadata``: ``map(lambda r: r.kv())`` over
         KafkaRecords (a :class:`~repro.broker.records.KafkaRecordColumn`
-        is read as columns, building no record)."""
+        is read as a :class:`PairColumn`, building no record)."""
         return cls("kafka_kv")
 
     @classmethod
@@ -477,13 +528,13 @@ class IdentityKernel(Kernel):
     pump tracks slab eligibility by object identity).  So do
     :class:`~repro.broker.records.KafkaRecordColumn` windows — the Beam
     read translation's Flat Map — which ``list`` would turn into one
-    ``KafkaRecord`` per row.
+    ``KafkaRecord`` per row, and :class:`PairColumn` chunks.
     """
 
     def __init__(self) -> None:
         from repro.broker.records import KafkaRecordColumn
 
-        self._passthrough = (list, ChunkView, KafkaRecordColumn)
+        self._passthrough = (list, ChunkView, KafkaRecordColumn, PairColumn)
 
     def __call__(self, values: Sequence[Any]) -> list:
         if isinstance(values, self._passthrough):
@@ -770,9 +821,10 @@ class ColumnKernel(Kernel):
 class KafkaKvKernel(Kernel):
     """``kafka_kv``: ``withoutMetadata`` over a whole chunk.
 
-    A :class:`~repro.broker.records.KafkaRecordColumn` chunk yields its
-    ``(key, value)`` pairs straight from the key and value columns; any
-    other chunk takes the reference ``r.kv()`` per record.
+    A :class:`~repro.broker.records.KafkaRecordColumn` chunk becomes a
+    :class:`PairColumn` over the window's key and value column slices —
+    no pair and no record is built; any other chunk takes the reference
+    ``r.kv()`` per record.
     """
 
     def __init__(self) -> None:
@@ -780,9 +832,14 @@ class KafkaKvKernel(Kernel):
 
         self._column = KafkaRecordColumn
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> list | PairColumn:
         if type(values) is self._column:
-            return values.kv()
+            start, stop = values.start, values.stop
+            keys = values.keys
+            return PairColumn(
+                None if keys is None else keys[start:stop],
+                values.values[start:stop],
+            )
         return [record.kv() for record in values]
 
     def describe(self) -> str:
@@ -790,32 +847,100 @@ class KafkaKvKernel(Kernel):
 
 
 class FusedKernel(Kernel):
-    """A generated single-comprehension kernel (closure-free)."""
+    """A generated single-comprehension kernel (closure-free).
 
-    def __init__(self, fn: Callable, args: tuple, source: str) -> None:
+    ``steps`` (one per fragment, only when every fragment has one) is the
+    column path: each step maps a whole column at once, or returns
+    ``None`` when it cannot do so exactly — the chunk then runs the
+    comprehension from the start.
+    """
+
+    def __init__(
+        self, fn: Callable, args: tuple, source: str, steps: tuple | None = None
+    ) -> None:
         self._fn = fn
         self._args = args
         self.source = source
+        self._steps = steps
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> list | PairColumn:
+        if self._steps is not None:
+            column = values
+            for step in self._steps:
+                column = step(column)
+                if column is None:
+                    break
+            else:
+                return column
         return self._fn(values, *self._args)
 
     def describe(self) -> str:
-        return f"fused[{self.source.splitlines()[1].strip()}]"
+        label = f"fused[{self.source.splitlines()[1].strip()}]"
+        return label if self._steps is None else f"{label}+columns"
+
+
+# Column steps of the ``item`` / ``kv_value`` / ``ensure_kv`` fragments:
+# ``step(column) -> column | None``.  ``None`` means the step cannot act
+# on this chunk exactly and the comprehension must decide.
+
+#: Element types that can never pass ``isinstance(v, tuple)``.  Checked
+#: by exact ``type``: a ``tuple`` subclass, or an object whose
+#: ``__class__`` claims ``tuple``, never qualifies.
+_SCALAR_TYPES = frozenset({str, bytes, int, float, type(None)})
+
+
+def _scalar_column(values: Sequence[Any]) -> bool:
+    """Whether no element of ``values`` can be a KV pair (exact guard).
+
+    A :class:`SlabColumn` holds only ``str`` records; a ``list`` is
+    scanned for the exact type of every element.  Anything else is not
+    a column the steps act on.
+    """
+    kind = type(values)
+    if kind is SlabColumn:
+        return True
+    return kind is list and _SCALAR_TYPES.issuperset(map(type, values))
+
+
+def _values_step(values: Sequence[Any]):
+    """``v[1]``: a pair column's value column."""
+    return values.values if type(values) is PairColumn else None
+
+
+def _keys_step(values: Sequence[Any]):
+    """``v[0]``: a pair column's key column."""
+    return values.key_column() if type(values) is PairColumn else None
+
+
+def _kv_value_step(values: Sequence[Any]):
+    """``extract_kv_value``: a pair column's values; a scalar column as is."""
+    if type(values) is PairColumn:
+        return values.values
+    return values if _scalar_column(values) else None
+
+
+def _ensure_kv_step(values: Sequence[Any]):
+    """``ensure_kv``: a pair column as is; a scalar column keyed by ``None``."""
+    if type(values) is PairColumn:
+        return values
+    return PairColumn(None, values) if _scalar_column(values) else None
 
 
 class ChainKernel(Kernel):
-    """Sequential composition of kernels (a compiled ``ComposedFunction``)."""
+    """Sequential composition of kernels (a compiled ``ComposedFunction``).
+
+    A :class:`PairColumn` flows from one op to the next, and out, as is.
+    """
 
     def __init__(self, ops: list) -> None:
         self.ops = ops
 
-    def __call__(self, values: Sequence[Any]) -> list:
+    def __call__(self, values: Sequence[Any]) -> list | PairColumn:
         for op in self.ops:
             values = op(values)
             if not values:
-                return values if isinstance(values, list) else list(values)
-        return values if isinstance(values, list) else list(values)
+                break
+        return values if isinstance(values, (list, PairColumn)) else list(values)
 
     def flush(self) -> None:
         for op in self.ops:
@@ -1374,11 +1499,12 @@ _WIRE_FUSED_KINDS: dict[str, Callable[[Any], Kernel]] = {
 
 # Comprehension fragments per spec kind: (role, template, args).  Filter
 # templates always test the raw loop variable (fusion breaks a segment at
-# a filter-after-map); map templates nest into each other textually.
+# a filter-after-map); each map template reads the previous map's result
+# through a name bound once per record, so no fragment is evaluated twice.
 #
-# The compiled-function memo is bounded like the slab cache: long matrix
-# runs over many distinct operator chains evict oldest-first instead of
-# growing without limit (re-exec'ing an evicted shape is cheap).
+# The compiled-function memo is bounded: long matrix runs over many
+# distinct operator chains evict oldest-first instead of growing without
+# limit (re-exec'ing an evicted shape is cheap).
 _FUSE_CACHE: dict = {}
 _FUSE_CACHE_MAX = 128
 
@@ -1409,30 +1535,52 @@ def _fragment(spec: KernelSpec):
     raise ValueError(f"spec kind {spec.kind!r} has no comprehension fragment")
 
 
-def _fuse(frags: list) -> FusedKernel:
-    """Generate one comprehension for filters-then-maps fragments."""
+def _column_step(spec: KernelSpec) -> Callable | None:
+    """The fragment's column step, or ``None`` when it has none."""
+    if spec.kind == "item" and spec.index in (0, 1):
+        return _keys_step if spec.index == 0 else _values_step
+    if spec.kind == "kv_value":
+        return _kv_value_step
+    if spec.kind == "ensure_kv":
+        return _ensure_kv_step
+    return None
+
+
+def _fuse(frags: list, steps: list | None = None) -> FusedKernel:
+    """Generate one comprehension for filters-then-maps fragments.
+
+    Every map but the last binds its result with a one-element ``for``
+    clause (``for _t0 in [expr]``), which CPython compiles to a plain
+    assignment; the next map reads that name.  ``steps`` — one column
+    step per fragment — enables the kernel's column path.
+    """
     names: list[str] = []
     args: list = []
     conds: list[str] = []
-    expr = "v"
+    binds: list[str] = []
+    expr = None
     for role, template, frag_args in frags:
         frag_names = []
         for value in frag_args:
             frag_names.append(f"_a{len(args)}")
             args.append(value)
         names.extend(frag_names)
-        rendered = template.format(*frag_names, v=expr)
         if role == "filter":
-            conds.append(rendered)
+            conds.append(template.format(*frag_names, v="v"))
+            continue
+        if expr is None:
+            operand = "v"
         else:
-            expr = rendered
+            operand = f"_t{len(binds)}"
+            binds.append(f" for {operand} in [{expr}]")
+        expr = template.format(*frag_names, v=operand)
     key = tuple((role, template, len(frag_args)) for role, template, frag_args in frags)
     fn = _FUSE_CACHE.get(key)
     params = "".join(f", {name}" for name in names)
     suffix = f" if {' and '.join(conds)}" if conds else ""
     source = (
         f"def _fused(values{params}):\n"
-        f"    return [{expr} for v in values{suffix}]"
+        f"    return [{expr or 'v'} for v in values{suffix}{''.join(binds)}]"
     )
     if fn is None:
         namespace: dict = {}
@@ -1440,7 +1588,8 @@ def _fuse(frags: list) -> FusedKernel:
         while len(_FUSE_CACHE) >= _FUSE_CACHE_MAX:
             _FUSE_CACHE.pop(next(iter(_FUSE_CACHE)))
         fn = _FUSE_CACHE[key] = namespace["_fused"]
-    return FusedKernel(fn, tuple(args), source)
+    column_steps = tuple(steps) if steps is not None and all(steps) else None
+    return FusedKernel(fn, tuple(args), source, column_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1459,13 +1608,15 @@ _BULK_KINDS = {
 def _build_chain(specs: list) -> Kernel:
     ops: list[Kernel] = []
     pending: list = []  # comprehension fragments awaiting fusion
+    steps: list = []  # their column steps (``None`` where a fragment has none)
     pending_mapped = False
 
     def flush_pending() -> None:
         nonlocal pending_mapped
         if pending:
-            ops.append(_fuse(pending))
+            ops.append(_fuse(pending, steps))
             pending.clear()
+            steps.clear()
         pending_mapped = False
 
     for spec in specs:
@@ -1480,6 +1631,7 @@ def _build_chain(specs: list) -> Kernel:
         if role == "filter" and pending_mapped:
             flush_pending()  # filters must test the raw loop variable
         pending.append((role, template, frag_args))
+        steps.append(_column_step(spec))
         if role == "map":
             pending_mapped = True
     flush_pending()

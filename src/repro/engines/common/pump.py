@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.dataflow.kernels import PairColumn
 from repro.dataflow.metrics import JobMetrics
 from repro.engines.common.costs import RunVariance
 from repro.engines.common.progress import LagTracker
@@ -50,7 +51,9 @@ class StreamPump:
 
     ``emit`` is called with each chunk of sink-bound records after the
     chunk's cost has been charged; engines pass a producer-backed callback
-    so emissions land in the output topic with current LogAppendTime.
+    so emissions land in the output topic with current LogAppendTime.  A
+    chunk is a ``list``, or on the kernel tier a
+    :class:`~repro.dataflow.kernels.PairColumn` of ``(key, value)`` pairs.
 
     ``micro_batch_records`` switches on Spark-style micro-batching: the
     input is cut into batches of that many records and
@@ -377,4 +380,6 @@ class StreamPump:
             metrics.operator(stage.name).record(n_in, n_out, stage_cost)
             if not values:
                 break
-        return cost, values if isinstance(values, list) else list(values)
+        # A pair column reaches the next stage and ``emit`` as is: the
+        # Beam sinks read its value column without building the pairs.
+        return cost, values if isinstance(values, (list, PairColumn)) else list(values)

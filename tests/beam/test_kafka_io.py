@@ -23,6 +23,7 @@ from repro.broker import (
     TopicConfig,
     TopicPartition,
 )
+from repro.dataflow.kernels import KafkaKvKernel, PairColumn
 from repro.engines.common.io import BoundedKafkaReader
 from repro.simtime import Simulator
 
@@ -158,13 +159,20 @@ def column_of(broker, topic):
     return column
 
 
+def pairs_of(column):
+    """``withoutMetadata`` over a column window: its pair column, listed."""
+    pairs = KafkaKvKernel()(column)
+    assert isinstance(pairs, PairColumn)
+    return list(pairs)
+
+
 class TestColumnRead:
     """``KafkaRead.read_records`` returns a column equal to the poll loop's list."""
 
     def test_unkeyed_column_matches_poll_loop(self, broker, topic):
         column = column_of(broker, topic)
         assert list(column) == poll_loop_records(broker, topic)
-        assert column.kv() == [(None, "v0"), (None, "v1"), (None, "v2")]
+        assert pairs_of(column) == [(None, "v0"), (None, "v1"), (None, "v2")]
 
     def test_keyed_records(self, broker, admin):
         admin.create_topic("keyed")
@@ -175,8 +183,8 @@ class TestColumnRead:
         records = poll_loop_records(broker, "keyed")
         assert list(column) == records
         assert [r.key for r in column] == [None, "k1", None, "k3", None]
-        assert column.kv() == [r.kv() for r in records]
-        assert column[1:4].kv() == [r.kv() for r in records[1:4]]
+        assert pairs_of(column) == [r.kv() for r in records]
+        assert pairs_of(column[1:4]) == [r.kv() for r in records[1:4]]
 
     def test_adopted_column_has_short_key_column(self, broker, admin):
         from repro.workloads.columnar import ColumnarWorkload
@@ -189,7 +197,7 @@ class TestColumnRead:
         column = column_of(broker, "adopted")
         assert column.keys is None
         assert list(column) == poll_loop_records(broker, "adopted")
-        assert column.kv() == [(None, line) for line in lines]
+        assert pairs_of(column) == [(None, line) for line in lines]
 
     def test_keyed_and_adopted_partitions_mix(self, broker):
         from repro.workloads.columnar import ColumnarWorkload
@@ -222,7 +230,7 @@ class TestColumnRead:
         column = column_of(broker, "empty")
         assert len(column) == 0
         assert list(column) == [] == poll_loop_records(broker, "empty")
-        assert column.kv() == []
+        assert pairs_of(column) == []
         with pytest.raises(IndexError):
             column[0]
 
@@ -248,7 +256,7 @@ class TestColumnRead:
         assert isinstance(inner, KafkaRecordColumn)
         assert list(inner) == records[3:25][-15:-2]
         assert inner[-1] == records[3:25][-15:-2][-1]
-        assert inner.kv() == [r.kv() for r in records[3:25][-15:-2]]
+        assert pairs_of(inner) == [r.kv() for r in records[3:25][-15:-2]]
         assert list(inner[5:100]) == records[3:25][-15:-2][5:100]
         assert list(column[20:5]) == []
         assert column[::4] == records[::4]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import namedtuple
 
 import pytest
 
@@ -390,6 +391,209 @@ class TestFusionAndChains:
         # after flush, the sample op has returned its adopted state
         sample_op = kernel.ops[0]
         assert sample_op._state is None
+
+
+    def test_fused_maps_evaluate_each_fragment_once(self):
+        """``item -> ensure_kv -> kv_value`` fuses into one comprehension
+        that indexes each record exactly once."""
+
+        class Counting:
+            calls = 0
+
+            def __getitem__(self, index):
+                Counting.calls += 1
+                return f"value{index}"
+
+        kernel = kernels._build_chain(
+            [KernelSpec.item(1), KernelSpec.ensure_kv(), KernelSpec.kv_value()]
+        )
+        assert isinstance(kernel, FusedKernel)
+        records = [Counting() for _ in range(50)]
+        assert kernel(records) == ["value1"] * 50
+        assert Counting.calls == 50
+
+
+# ---------------------------------------------------------------------------
+# Column steps: item / kv_value / ensure_kv on pair and value columns
+
+
+class _ClaimsTuple:
+    """Not a tuple, but ``isinstance(x, tuple)`` says it is."""
+
+    @property
+    def __class__(self):
+        return tuple
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, index):
+        return f"claimed{index}"
+
+
+class _SneakyStr(str):
+    """A two-character ``str`` whose ``__class__`` claims ``tuple``."""
+
+    @property
+    def __class__(self):
+        return tuple
+
+
+_KV = namedtuple("_KV", "key value")
+
+
+def ref_item(index, values):
+    return [v[index] for v in values]
+
+
+def ref_kv_value(values):
+    return [v[1] if isinstance(v, tuple) and len(v) == 2 else v for v in values]
+
+
+def ref_ensure_kv(values):
+    return [v if isinstance(v, tuple) and len(v) == 2 else (None, v) for v in values]
+
+
+def record_column(values, keys=None):
+    """A one-partition ``KafkaRecordColumn`` over ``values``/``keys``."""
+    from repro.broker.records import KafkaRecordColumn
+
+    n = len(values)
+    return KafkaRecordColumn(
+        "t", list(values), array("d", [0.0] * n), keys, ((0, n, 0, 0),)
+    )
+
+
+#: name -> (chunk builder, whether the value column passes the exact guard)
+COLUMN_INPUTS = {
+    "two-tuples": (lambda: [(f"k{i}", f"v{i}") for i in range(40)], False),
+    "namedtuples": (lambda: [_KV(f"k{i}", f"v{i}") for i in range(40)], False),
+    "claims-tuple": (lambda: [_ClaimsTuple() for _ in range(40)], False),
+    "sneaky-str": (lambda: [_SneakyStr("ab") for _ in range(40)], False),
+    "bytes": (lambda: [b"ab%d" % i for i in range(40)], True),
+    "scalars": (lambda: ["ab", b"cd", 1, 2.5, None] * 8, True),
+    "mixed": (lambda: ["ab", 1, ("k", "v"), (1, 2, 3), True, None] * 8, False),
+}
+
+#: Spec chains run on every input (only where the reference is defined).
+COLUMN_CHAINS = {
+    "item0": [KernelSpec.item(0)],
+    "item1": [KernelSpec.item(1)],
+    "item-1": [KernelSpec.item(-1)],
+    "kv_value": [KernelSpec.kv_value()],
+    "ensure_kv": [KernelSpec.ensure_kv()],
+    "ensure-then-value": [KernelSpec.ensure_kv(), KernelSpec.kv_value()],
+    "beam-write": [KernelSpec.item(1), KernelSpec.ensure_kv(), KernelSpec.kv_value()],
+}
+
+
+def ref_chain(specs, values):
+    for spec in specs:
+        if spec.kind == "item":
+            values = ref_item(spec.index, values)
+        elif spec.kind == "kv_value":
+            values = ref_kv_value(values)
+        else:
+            values = ref_ensure_kv(values)
+    return values
+
+
+def outcome(fn, values):
+    """``fn(values)`` listed, or the type of the exception it raised."""
+    try:
+        return list(fn(values))
+    except Exception as exc:  # noqa: BLE001 - the reference decides
+        return type(exc)
+
+
+class TestColumnSteps:
+    @pytest.mark.parametrize("chain", sorted(COLUMN_CHAINS))
+    @pytest.mark.parametrize("name", sorted(COLUMN_INPUTS))
+    def test_value_column_matches_reference(self, name, chain):
+        build, _ = COLUMN_INPUTS[name]
+        specs = COLUMN_CHAINS[chain]
+        kernel = kernels._build_chain(specs)
+        values = build()
+        assert outcome(kernel, values) == outcome(
+            lambda v: ref_chain(specs, v), values
+        )
+
+    @pytest.mark.parametrize("chain", sorted(COLUMN_CHAINS))
+    @pytest.mark.parametrize("keyed", [False, True], ids=["keyless", "keyed"])
+    @pytest.mark.parametrize("name", sorted(COLUMN_INPUTS))
+    def test_pair_column_matches_reference(self, name, keyed, chain):
+        """``withoutMetadata`` then the chain, against ``r.kv()`` then the
+        reference, on a keyless and a keyed topic."""
+        build, _ = COLUMN_INPUTS[name]
+        values = build()
+        keys = [f"key{i % 3}" if i % 4 else None for i in range(len(values))]
+        column = record_column(values, keys if keyed else None)
+        pairs = kernels.KafkaKvKernel()(column)
+        assert isinstance(pairs, kernels.PairColumn)
+        assert list(pairs) == [record.kv() for record in column]
+        specs = COLUMN_CHAINS[chain]
+        kernel = kernels._build_chain(specs)
+        assert outcome(kernel, pairs) == outcome(
+            lambda v: ref_chain(specs, v), [record.kv() for record in column]
+        )
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_INPUTS))
+    def test_guard_decides_the_path(self, name):
+        """Guarded value columns stay columns; any other input takes the
+        comprehension and yields a plain list."""
+        build, guarded = COLUMN_INPUTS[name]
+        values = build()
+        ensure = kernels._build_chain([KernelSpec.ensure_kv()])
+        unwrap = kernels._build_chain([KernelSpec.kv_value()])
+        wrapped = ensure(values)
+        if guarded:
+            assert isinstance(wrapped, kernels.PairColumn)
+            assert wrapped.keys is None and wrapped.values is values
+            assert unwrap(values) is values
+            assert unwrap(wrapped) is values
+        else:
+            assert type(wrapped) is list
+            assert type(unwrap(values)) is list
+
+    def test_pair_column_steps_share_the_columns(self):
+        values = [f"v{i}" for i in range(10)]
+        keys = [f"k{i}" for i in range(10)]
+        pairs = kernels.KafkaKvKernel()(record_column(values, keys)[2:7])
+        assert pairs.values == values[2:7] and pairs.keys == keys[2:7]
+        assert kernels._build_chain([KernelSpec.item(1)])(pairs) is pairs.values
+        assert kernels._build_chain([KernelSpec.item(0)])(pairs) is pairs.keys
+        assert kernels._build_chain([KernelSpec.ensure_kv()])(pairs) is pairs
+        assert kernels._build_chain([KernelSpec.kv_value()])(pairs) is pairs.values
+        keyless = kernels.KafkaKvKernel()(record_column(values))
+        assert keyless.keys is None
+        assert kernels._build_chain([KernelSpec.item(0)])(keyless) == [None] * 10
+
+    def test_slab_column_passes_the_guard_unscanned(self):
+        records = [f"row{i}\tq" for i in range(50)]
+        column = SlabColumn(make_slab(records))
+        wrapped = kernels._build_chain([KernelSpec.ensure_kv()])(column)
+        assert isinstance(wrapped, kernels.PairColumn)
+        assert wrapped.values is column
+        assert column.slab.records is None  # nothing decoded
+        assert list(wrapped) == [(None, r) for r in records]
+
+    def test_pair_column_sequence_surface(self):
+        pairs = kernels.PairColumn(["a", None, "c"], [1, 2, 3])
+        assert len(pairs) == 3 and pairs
+        assert pairs[1] == (None, 2) and pairs[-1] == ("c", 3)
+        assert pairs[0:2] == [("a", 1), (None, 2)]
+        keyless = kernels.PairColumn(None, ["x", "y"])
+        assert list(keyless) == [(None, "x"), (None, "y")]
+        assert keyless[::-1] == [(None, "y"), (None, "x")]
+        assert not kernels.PairColumn(None, [])
+
+    def test_chain_hands_the_pair_column_on(self):
+        column = record_column([f"v{i}" for i in range(40)])
+        chain = kernels._build_chain([KernelSpec.kafka_kv(), KernelSpec.ensure_kv()])
+        assert isinstance(chain, ChainKernel)
+        out = chain(column)
+        assert isinstance(out, kernels.PairColumn)
+        assert IdentityKernel()(out) is out
 
 
 # ---------------------------------------------------------------------------

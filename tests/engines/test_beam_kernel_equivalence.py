@@ -16,6 +16,8 @@ benchmark cell builds no ``ConsumerRecord`` and no ``KafkaRecord``.
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 import repro.beam as beam
@@ -211,3 +213,56 @@ def test_kernel_tier_beam_cell_builds_no_records(monkeypatch, system):
     monkeypatch.setattr(StreamPump, "vectorized", False)
     assert runner.run_cell(cell) == runs
     assert built.counts == {ConsumerRecord: 0, KafkaRecord: 2_000}
+
+
+@pytest.mark.parametrize("system", ["flink", "apex"])
+def test_beam_identity_sink_writes_the_read_value_column(monkeypatch, system):
+    """On a keyless, slab-adopted input topic the Beam identity cell's
+    sink gets ``withoutMetadata``'s pair column and writes the read's
+    value strings themselves: no ``(key, value)`` pair is ever built."""
+    from repro.beam.io.kafka import KafkaRead
+    from repro.beam.runners import apex as apex_runner
+    from repro.beam.runners import flink as flink_runner
+    from repro.broker.log import PartitionLog
+    from repro.dataflow.kernels import PairColumn
+
+    adopted = []
+    adopt = PartitionLog._adopt_column
+    monkeypatch.setattr(
+        PartitionLog,
+        "_adopt_column",
+        lambda log, view: (adopted.append(len(view)), adopt(log, view)),
+    )
+    reads = []
+    read_records = KafkaRead.read_records
+    monkeypatch.setattr(
+        KafkaRead,
+        "read_records",
+        lambda read: reads.append(read_records(read)) or reads[-1],
+    )
+    sink = (
+        flink_runner._BeamKafkaSink if system == "flink" else apex_runner._BeamKafkaOutput
+    )
+    chunks = []
+    write = sink.write
+    monkeypatch.setattr(
+        sink, "write", lambda self, values: (chunks.append(values), write(self, values))
+    )
+
+    def no_pairs(*args):
+        raise AssertionError("a (key, value) pair was built")
+
+    monkeypatch.setattr(PairColumn, "__iter__", no_pairs)
+    monkeypatch.setattr(PairColumn, "__getitem__", no_pairs)
+
+    config = BenchmarkConfig(records=2_000, runs=1, kinds=("beam",))
+    runs = MatrixRunner(config).run_cell(CellSpec(0, system, "identity", "beam", 1))
+    assert runs[0].records_out == 2_000
+    assert sum(adopted) >= 2_000  # the input topic holds the slab column
+    column = reads[-1]
+    assert column.keys is None
+    assert chunks
+    assert all(type(chunk) is PairColumn and chunk.keys is None for chunk in chunks)
+    written = [value for chunk in chunks for value in chunk.values]
+    assert len(written) == len(column.values) == 2_000
+    assert all(map(operator.is_, written, column.values))
